@@ -9,6 +9,7 @@ returns both structured data and a formatted text report.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,10 @@ _SIM_CACHE: dict[tuple[str, str, int], FockSimResult] = {}
 def run_cell(setup: MoleculeSetup, algorithm: str, cores: int) -> FockSimResult:
     key = (setup.name, algorithm, cores)
     if key not in _SIM_CACHE:
-        fn = simulate_gtfock if algorithm == "gtfock" else simulate_nwchem
+        if algorithm == "gtfock":
+            fn = simulate_gtfock
+        else:
+            fn = partial(simulate_nwchem, tasks=setup.nwchem_tasks)
         _SIM_CACHE[key] = fn(
             setup.basis,
             setup.screen,

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, graphene_flake
 from repro.chem.molecule import Molecule
 from repro.fock.cost import TaskCosts, quartet_cost_matrix
+from repro.fock.nwchem_cost import NWChemTaskArrays
 from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
+from repro.fock.simulate import nwchem_task_arrays
 from repro.integrals.schwarz import schwarz_model
 from repro.obs import get_tracer
 from repro.obs.profile import PHASE_SCHWARZ, get_profiler
@@ -75,6 +78,11 @@ class MoleculeSetup:
     @property
     def is_alkane(self) -> bool:
         return _alkane_like(self.molecule)
+
+    @cached_property
+    def nwchem_tasks(self) -> NWChemTaskArrays:
+        """NWChem's per-task arrays, built on first use and shared by every cell."""
+        return nwchem_task_arrays(self.screen, self.costs, self.config)
 
 
 def _alkane_like(mol: Molecule) -> bool:

@@ -105,9 +105,10 @@ def nwchem_build(
             n_eri += sizes[m] * sizes[n] * sizes[p] * sizes[q]
         return n_eri * t_eri + config.task_overhead
 
-    def comm_of(proc: int, task: NWChemTask) -> None:
+    def comm_of(proc: int, tid: int) -> None:
         # fetch the D atom blocks this task's quartets touch (6 pairs per
         # atom quartet: IJ, KL, IK, JL, IL, JK); Algorithm 2 line 14.
+        task = tasks[tid]
         for l_at in task.l_range():
             i, jj, k = task.i_at, task.j_at, task.k_at
             for (a, b) in ((i, jj), (k, l_at), (i, k), (jj, l_at), (i, l_at), (jj, k)):
@@ -118,9 +119,9 @@ def nwchem_build(
     jbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
     kbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
 
-    def on_task(proc: int, task: NWChemTask) -> None:
+    def on_task(proc: int, tid: int) -> None:
         touched: set[tuple[int, int]] = set()
-        for (m, n, p, q) in quartets_of(task):
+        for (m, n, p, q) in quartets_of(tasks[tid]):
             block = engine.quartet(m, n, p, q)
             for (a, b, c, d), blk in orbit_images((m, n, p, q), block):
                 sa, sb, sc, sd = slices[a], slices[b], slices[c], slices[d]
@@ -142,7 +143,8 @@ def nwchem_build(
             kbuf[proc][r0:r1, c0:c1] = 0.0
 
     outcome = run_centralized(
-        tasks, nproc, stats, cost_of, comm_of=comm_of, on_task=on_task
+        [cost_of(task) for task in tasks], nproc, stats,
+        comm_of=comm_of, on_task=on_task,
     )
     fock = hcore + ga_g.to_numpy()
     return NWChemBuildResult(

@@ -23,13 +23,13 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.fock.centralized import run_centralized
 from repro.fock.cost import TaskCosts, quartet_cost_matrix
-from repro.fock.nwchem_cost import build_nwchem_task_arrays
+from repro.fock.nwchem_cost import NWChemTaskArrays, build_nwchem_task_arrays
 from repro.fock.partition import StaticPartition
 from repro.fock.prefetch import block_footprint, ga_calls_for_footprint
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing
 from repro.obs import Tracer, get_metrics, get_tracer
-from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_TASK_GET
+from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET
 from repro.obs.profile import PHASE_SIM_LOOP, get_profiler
 from repro.obs.trace import NullTracer
 from repro.runtime.faults import FaultPlan, FaultState
@@ -375,6 +375,19 @@ def simulate_gtfock(
     )
 
 
+def nwchem_task_arrays(
+    screen: ScreeningMap, costs: TaskCosts, config: MachineConfig = LONESTAR
+) -> NWChemTaskArrays:
+    """NWChem's per-task arrays at one process per core under ``config``."""
+    return build_nwchem_task_arrays(
+        screen,
+        total_eris=costs.total_eris,
+        t_int=config.t_int_nwchem,
+        task_overhead=config.task_overhead,
+        element_size=config.element_size,
+    )
+
+
 def simulate_nwchem(
     basis: BasisSet,
     screen: ScreeningMap,
@@ -382,36 +395,25 @@ def simulate_nwchem(
     config: MachineConfig = LONESTAR,
     costs: TaskCosts | None = None,
     molecule_name: str = "",
+    tasks: NWChemTaskArrays | None = None,
 ) -> FockSimResult:
-    """Simulate NWChem's algorithm: one process per core, central counter."""
+    """Simulate NWChem's algorithm: one process per core, central counter.
+
+    ``tasks`` are the :func:`nwchem_task_arrays` of ``screen`` under
+    ``config``; pass them to share one build across a core sweep.
+    """
     if cores < 1:
         raise ValueError("cores must be >= 1")
     nproc = cores
-    if costs is None:
-        costs = quartet_cost_matrix(screen)
-    arrays = build_nwchem_task_arrays(
-        screen,
-        total_eris=costs.total_eris,
-        t_int=config.t_int_nwchem,
-        task_overhead=config.task_overhead,
-        element_size=config.element_size,
-    )
+    if tasks is None:
+        if costs is None:
+            costs = quartet_cost_matrix(screen)
+        tasks = nwchem_task_arrays(screen, costs, config)
     stats = CommStats(nproc, config)
-
-    def cost_of(tid: int) -> float:
-        return float(arrays.cost[tid])
-
-    def comm_of(proc: int, tid: int) -> None:
-        nbytes = float(arrays.comm_bytes[tid])
-        ncalls = int(arrays.comm_calls[tid])
-        if ncalls:
-            stats.charge_comm(
-                proc, nbytes, ncalls=ncalls, remote=True, channel=CH_TASK_GET
-            )
-
     with get_profiler().phase(PHASE_SIM_LOOP):
         outcome = run_centralized(
-            list(range(arrays.ntasks)), nproc, stats, cost_of, comm_of=comm_of
+            tasks.cost, nproc, stats,
+            comm_bytes=tasks.comm_bytes, comm_calls=tasks.comm_calls,
         )
     return _finalize(
         "nwchem",
@@ -421,6 +423,6 @@ def simulate_nwchem(
         outcome.executed_cost,
         outcome.finish_time,
         counter_accesses=outcome.counter_accesses,
-        total_eris=costs.total_eris,
-        ntasks=arrays.ntasks,
+        total_eris=tasks.total_eris,
+        ntasks=tasks.ntasks,
     )

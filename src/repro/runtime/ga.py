@@ -336,6 +336,10 @@ class SharedCounter:
     serializes at the owning process (Sec IV-C discusses the resulting
     scheduler overhead: ~112k accesses for C100H202 at 3888 cores vs 349
     per-queue accesses for GTFock's distributed queues).
+
+    :func:`repro.fock.centralized.run_centralized` inlines the
+    :meth:`read_inc` recurrence in its hot loop; the scheduler tests
+    replay runs through this class and require bitwise-equal clocks.
     """
 
     def __init__(self, stats: CommStats, owner: int = 0):

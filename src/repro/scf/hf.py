@@ -278,12 +278,12 @@ class RHF:
 
         diis = DIIS() if self.use_diis else None
         inc_builder = None
-        inc_cls = None
         if self.incremental:
             from repro.scf.incremental import IncrementalFockBuilder
 
-            inc_cls = IncrementalFockBuilder
-            inc_builder = inc_cls(self.engine, tau=self.tau)
+            inc_builder = IncrementalFockBuilder(
+                self.engine, tau=self.tau, threads=self.jk_threads
+            )
         history: list[float] = []
         e_old = np.inf
         f = h
@@ -352,7 +352,7 @@ class RHF:
                         self.engine.force_reference_path()
                     if inc_builder is not None:
                         # the accumulated Fock may carry the corruption
-                        inc_builder = inc_cls(self.engine, tau=self.tau)
+                        inc_builder.reset()
                     with tracer.span("fock_rebuild", cat="scf"):
                         f = build_fock(d)
                     if not np.isfinite(f).all():
@@ -477,7 +477,7 @@ class RHF:
                     ):
                         self.engine.force_reference_path()
                         if inc_builder is not None:
-                            inc_builder = inc_cls(self.engine, tau=self.tau)
+                            inc_builder.reset()
                 if (
                     not discarded
                     and d_change < self.d_tol

@@ -1,9 +1,12 @@
 """Tests for incremental (delta-density) Fock construction."""
 
 import numpy as np
+import pytest
 
+from repro.chem.builders import water
 from repro.integrals.engine import MDEngine
 from repro.scf.fock import fock_matrix
+from repro.scf.hf import RHF
 from repro.scf.incremental import IncrementalFockBuilder
 
 
@@ -68,3 +71,23 @@ class TestIncrementalFock:
         inc.reset()
         f = inc.fock(h, d)
         assert np.allclose(f, fock_matrix(water_engine, h, d, 1e-11), atol=1e-12)
+
+
+class TestIncrementalThreads:
+    def test_rhf_jk_threads_reach_incremental_builds(self, monkeypatch):
+        from repro.scf import incremental
+
+        seen = []
+        real_build_jk = incremental.build_jk
+
+        def spy(engine, density, tau=1e-11, threads=None):
+            seen.append(threads)
+            return real_build_jk(engine, density, tau, threads=threads)
+
+        monkeypatch.setattr(incremental, "build_jk", spy)
+        e_threaded = RHF(water(), incremental=True, jk_threads=2).run().energy
+        # call 0 is the first full build; call 1 is a density-difference build
+        assert len(seen) > 2 and set(seen) == {2}
+        monkeypatch.undo()
+        e_serial = RHF(water(), incremental=True).run().energy
+        assert e_threaded == pytest.approx(e_serial, abs=1e-10)

@@ -1,5 +1,7 @@
 """Tests for the work-stealing and centralized scheduler simulations."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.fock.centralized import run_centralized
 from repro.fock.stealing import run_work_stealing, victim_scan_order
+from repro.obs.flight import CH_FOCK_ACC, CH_TASK_GET
+from repro.runtime.ga import SharedCounter
 from repro.runtime.faults import FaultPlan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
@@ -202,8 +206,7 @@ class TestCentralized:
         stats = CommStats(3, LONESTAR)
         seen = []
         out = run_centralized(
-            list(range(50)), 3, stats, lambda t: 0.01,
-            on_task=lambda p, t: seen.append(t),
+            np.full(50, 0.01), 3, stats, on_task=lambda p, t: seen.append(t)
         )
         assert sorted(seen) == list(range(50))
         assert out.executed_tasks.sum() == 50
@@ -211,27 +214,131 @@ class TestCentralized:
 
     def test_single_process(self):
         stats = CommStats(1, LONESTAR)
-        out = run_centralized(list(range(10)), 1, stats, lambda t: 1.0)
+        out = run_centralized(np.ones(10), 1, stats)
         assert out.executed_cost[0] == pytest.approx(10.0)
 
     def test_load_spread_roughly_even(self):
         stats = CommStats(4, LONESTAR)
-        out = run_centralized(list(range(400)), 4, stats, lambda t: 0.001)
+        out = run_centralized(np.full(400, 0.001), 4, stats)
         assert out.executed_tasks.min() >= 80
 
     def test_comm_hook_called_per_task(self):
         stats = CommStats(2, LONESTAR)
         hits = []
-        run_centralized(
-            list(range(7)), 2, stats, lambda t: 0.0,
-            comm_of=lambda p, t: hits.append(t),
-        )
+        run_centralized(np.zeros(7), 2, stats, comm_of=lambda p, t: hits.append(t))
         assert sorted(hits) == list(range(7))
 
     def test_counter_serialization_dominates_tiny_tasks(self):
         """With zero-cost tasks, the makespan is the serialized counter."""
         stats = CommStats(8, LONESTAR)
         ntasks = 200
-        out = run_centralized(list(range(ntasks)), 8, stats, lambda t: 0.0)
+        out = run_centralized(np.zeros(ntasks), 8, stats)
         min_serial = ntasks * LONESTAR.queue_service
         assert out.makespan >= min_serial * 0.9
+
+    def test_bad_inputs_rejected(self):
+        stats = CommStats(2, LONESTAR)
+        with pytest.raises(ValueError, match="negative"):
+            run_centralized(np.array([1.0, -1.0]), 2, stats)
+        with pytest.raises(ValueError, match="one entry per task"):
+            run_centralized(np.ones(3), 2, stats, np.ones(2), np.ones(2, dtype=int))
+        with pytest.raises(ValueError, match="together"):
+            run_centralized(np.ones(3), 2, stats, comm_bytes=np.ones(3))
+
+
+def _replay_centralized(stats, cost, comm_bytes, comm_calls, on_task=None):
+    """The per-task ledger path the inlined scheduler must reproduce.
+
+    Same pop order as :func:`run_centralized`, but every counter access
+    goes through :meth:`SharedCounter.read_inc` and every charge through
+    :class:`CommStats`, one call per task.
+    """
+    nproc = stats.nproc
+    counter = SharedCounter(stats)
+    executed = np.zeros(nproc, dtype=np.int64)
+    heap = [(float(stats.clock[p]), p) for p in range(nproc)]
+    heapq.heapify(heap)
+    while heap:
+        _, p = heapq.heappop(heap)
+        tid = counter.read_inc(p)
+        if tid >= len(cost):
+            continue
+        if comm_calls[tid]:
+            stats.charge_comm(
+                p, float(comm_bytes[tid]), ncalls=int(comm_calls[tid]),
+                channel=CH_TASK_GET,
+            )
+        stats.charge_compute(p, float(cost[tid]))
+        executed[p] += 1
+        if on_task is not None:
+            on_task(stats, p, tid)
+        heapq.heappush(heap, (float(stats.clock[p]), p))
+    return executed, counter.accesses
+
+
+def _random_run(seed):
+    """Seeded task arrays with zero-comm and zero-cost tasks, plus a
+    pre-charged ledger whose clocks tie."""
+    rng = np.random.default_rng(seed)
+    nproc = int(rng.integers(1, 9))
+    ntasks = int(rng.integers(0, 400))
+    cost = rng.exponential(2e-5, ntasks) * (rng.random(ntasks) > 0.2)
+    calls = rng.integers(1, 13, ntasks) * (rng.random(ntasks) > 0.3)
+    nbytes = (rng.integers(0, 5000, ntasks) * 8.0) * (calls > 0)
+    stats = CommStats(nproc, LONESTAR)
+    level = rng.random(3) * 3e-5
+    for p, k in enumerate(rng.integers(0, 4, nproc)):  # few levels: ties
+        if k:
+            stats.charge_comm(p, 64.0 * k, ncalls=int(k))
+            stats.charge_compute(p, level[k - 1])
+    return stats, cost, nbytes, calls
+
+
+def _assert_same_ledger(a, b):
+    for name in ("clock", "comm_time", "comp_time"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("calls", "bytes", "remote_calls", "remote_bytes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _local_flush(stats, p, tid):
+    """An on_task hook that charges the ledger itself."""
+    stats.charge_comm(p, 8.0 * (tid % 3), remote=False, channel=CH_FOCK_ACC)
+
+
+class TestCentralizedMatchesSharedCounter:
+    """The inlined counter recurrence equals its one definition in
+    :meth:`SharedCounter.read_inc`, bitwise."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_task_arrays(self, seed):
+        stats, cost, nbytes, calls = _random_run(seed)
+        ref, _, _, _ = _random_run(seed)
+        out = run_centralized(cost, stats.nproc, stats, nbytes, calls)
+        executed, accesses = _replay_centralized(ref, cost, nbytes, calls)
+        _assert_same_ledger(stats, ref)
+        assert out.finish_time.tobytes() == ref.clock.tobytes()
+        assert np.array_equal(out.executed_tasks, executed)
+        assert out.counter_accesses == accesses == len(cost) + stats.nproc
+        stats.flight.check_against(stats)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hooks_see_the_current_clock(self, seed):
+        stats, cost, nbytes, calls = _random_run(seed)
+        ref, _, _, _ = _random_run(seed)
+
+        def comm_of(p, tid):
+            if calls[tid]:
+                stats.charge_comm(
+                    p, float(nbytes[tid]), ncalls=int(calls[tid]),
+                    channel=CH_TASK_GET,
+                )
+
+        out = run_centralized(
+            cost, stats.nproc, stats, comm_of=comm_of,
+            on_task=lambda p, tid: _local_flush(stats, p, tid),
+        )
+        executed, _ = _replay_centralized(ref, cost, nbytes, calls, _local_flush)
+        _assert_same_ledger(stats, ref)
+        assert np.array_equal(out.executed_tasks, executed)
+        stats.flight.check_against(stats)
