@@ -94,6 +94,15 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "energy_matches": bool,
         "passed": bool,
     },
+    # numeric distributed builds (benchmarks/test_bench_dist_fock.py)
+    "dist_fock_numeric": {
+        "nproc": float,
+        "t_gtfock_s": float,
+        "t_nwchem_s": float,
+        "max_abs_diff": float,
+        "layers": dict,
+        "host": dict,
+    },
     "phase_profiler": {
         "wall_off_s": float,
         "wall_on_s": float,

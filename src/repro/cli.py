@@ -690,8 +690,8 @@ def _run_info() -> int:
     pv = provenance()
     width = max(len(k) for k in pv)
     for key in (
-        "package", "version", "git_sha", "python", "numpy", "scipy",
-        "platform", "cpu_count",
+        "package", "version", "git_sha", "git_dirty", "python", "numpy",
+        "scipy", "platform", "cpu_count",
     ):
         print(f"{key:<{width}} = {pv[key]}")
     return 0

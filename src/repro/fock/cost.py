@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chem.basis.basisset import BasisSet
 from repro.fock.screening_map import ScreeningMap
 
 
@@ -143,16 +142,3 @@ def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> T
         eris[np.diag_indices(ns)] *= 0.5
 
     return TaskCosts(quartets=quartets, eris=eris)
-
-
-def total_unique_work(screen: ScreeningMap) -> tuple[float, float]:
-    """(total unique quartets, total ERIs) over the whole task grid."""
-    costs = quartet_cost_matrix(screen)
-    return costs.total_quartets, costs.total_eris
-
-
-def cost_matrix_for(
-    basis: BasisSet, sigma: np.ndarray, tau: float
-) -> TaskCosts:
-    """Convenience wrapper building the ScreeningMap internally."""
-    return quartet_cost_matrix(ScreeningMap(basis, sigma, tau))

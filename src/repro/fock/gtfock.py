@@ -8,14 +8,21 @@ against the sequential reference:
 2. per-process prefetch of the D footprint into a local buffer
    (reads outside the prefetched footprint raise -- prefetch-sufficiency
    is *checked*, not assumed);
-3. task execution through the work-stealing scheduler, accumulating into
-   local J/K buffers (thieves receive the victim's D buffer on steal);
-4. one final accumulate of each process's local contribution into the
+3. task execution through the work-stealing scheduler: each task reads
+   the D blocks its quartets need from the local buffer (thieves receive
+   the victim's D buffer on steal) and *records* the quartets;
+4. one class-batched ERI + J/K sweep over the quartets recorded by live
+   ranks, each rank's against its own D buffer into its own J/K pair;
+5. one final accumulate of each process's local contribution into the
    distributed result, then ``F = Hcore + 2J - K``.
 
+Simulated time never depends on host compute, so splitting steps 3 and
+4 leaves every clock, counter and flight channel as a per-quartet
+contraction inside each task would.
+
 Every phase is observable through :mod:`repro.obs`: the host build is a
-nested wall-clock span tree (setup / prefetch / schedule / flush, with
-one ``task(m,n)`` span per executed shell-pair task), while the
+nested wall-clock span tree (setup / prefetch / schedule / sweep /
+flush, with one ``task(m,n)`` span per executed shell-pair task), while the
 simulated ranks get virtual-clock spans -- ``prefetch`` and ``flush``
 bracketed by the :class:`CommStats` clocks, plus the scheduler's own
 per-task/steal events -- one Perfetto row per rank.
@@ -41,6 +48,7 @@ from repro.fock.prefetch import (
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing
 from repro.fock.tasks import enumerate_task_quartets
+from repro.integrals.class_batch import EIGHT_PERMUTATIONS, jk_for_quartets
 from repro.integrals.engine import ERIEngine
 from repro.obs import Tracer, get_tracer
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_STEAL_F, CH_TASK_GET
@@ -48,7 +56,14 @@ from repro.runtime.faults import FaultPlan, FaultState
 from repro.runtime.ga import GlobalArray
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
-from repro.scf.fock import orbit_images
+
+#: quartet index positions of the D blocks its orbit images read, in
+#: first-read order: image ``(a,b,c,d)`` reads ``D[c,d]`` then ``D[b,d]``
+_D_READS: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(
+    pos
+    for perm in EIGHT_PERMUTATIONS
+    for pos in ((perm[2], perm[3]), (perm[1], perm[3]))
+))
 
 
 class PrefetchMiss(RuntimeError):
@@ -65,20 +80,16 @@ class GTFockBuildResult:
     costs: TaskCosts
     #: activated fault state when the build ran under fault injection
     faults: FaultState | None = None
-
-    @property
-    def quartets_computed(self) -> float:
-        return float(self.outcome.executed_tasks.sum())
+    #: shell quartets contracted by the sweep (executed by live ranks)
+    quartets_computed: int = 0
 
 
 class _ProcessBuffers:
-    """Per-process local state: prefetched D, fetched mask, J/K buffers."""
+    """Per-process local state: prefetched D and its fetched mask."""
 
     def __init__(self, nbf: int):
         self.d_local = np.zeros((nbf, nbf))
         self.have = np.zeros((nbf, nbf), dtype=bool)
-        self.j = np.zeros((nbf, nbf))
-        self.k = np.zeros((nbf, nbf))
         #: on-demand fetch of an unprefetched D block; only installed
         #: under fault injection, where adopting a dead rank's orphaned
         #: tasks legitimately needs D outside this rank's footprint
@@ -150,6 +161,8 @@ def gtfock_build(
     nbf = basis.nbf
     if hcore.shape != (nbf, nbf) or density.shape != (nbf, nbf):
         raise ValueError("hcore/density shape does not match the basis")
+    if screen is not None and screen.tau != tau:
+        raise ValueError(f"screen.tau = {screen.tau} but tau = {tau}")
     if isinstance(faults, FaultPlan):
         fstate: FaultState | None = faults.activate(nproc)
     else:
@@ -208,25 +221,26 @@ def gtfock_build(
             m, n = task
             return float(costs.eris[m, n]) * t_task + config.task_overhead
 
+        # the (M, P, N, Q) quartets each rank executed, one array per task
+        recorded: list[list[np.ndarray]] = [[] for _ in range(nproc)]
+
         def on_task(proc: int, task: tuple[int, int]) -> None:
             m, n = task
             with tracer.span(f"task({m},{n})", cat="task", proc=proc) as sp:
                 buf = bufs[proc]
-                nq = 0
-                for (mm, pp, nn, qq) in enumerate_task_quartets(screen, m, n):
-                    block = engine.quartet(mm, pp, nn, qq)
-                    nq += 1
-                    for (a, b, c, d), blk in orbit_images(
-                        (mm, pp, nn, qq), block
-                    ):
-                        sa, sb, sc, sd = (
-                            slices[a], slices[b], slices[c], slices[d]
-                        )
-                        dcd = buf.read_d(sc, sd)
-                        dbd = buf.read_d(sb, sd)
-                        buf.j[sa, sb] += np.einsum("abcd,cd->ab", blk, dcd)
-                        buf.k[sa, sc] += np.einsum("abcd,bd->ac", blk, dbd)
-                sp["quartets"] = nq
+                task_quartets = list(enumerate_task_quartets(screen, m, n))
+                # touch each D block once, in the order a per-quartet
+                # contraction would first read it: under fault injection
+                # a miss is fetched (and charged) right here
+                seen: set[tuple[int, int]] = set()
+                for quartet in task_quartets:
+                    for i, j in _D_READS:
+                        blk = (quartet[i], quartet[j])
+                        if blk not in seen:
+                            seen.add(blk)
+                            buf.read_d(slices[blk[0]], slices[blk[1]])
+                recorded[proc].append(np.array(task_quartets, dtype=np.int64).reshape(-1, 4))
+                sp["quartets"] = len(task_quartets)
 
         def on_steal(thief: int, victim: int) -> None:
             bufs[thief].merge_from(bufs[victim])
@@ -264,10 +278,31 @@ def gtfock_build(
                 event_observer=event_observer,
             )
 
+        # -- one class-batched ERI + J/K sweep over the recorded quartets -----
+        dead = set(outcome.dead_ranks)
+        with tracer.span("sweep", cat="fock") as sw:
+            # a dead rank's results died with it; survivors re-executed
+            # (and recorded) its tasks
+            live = [p for p in range(nproc) if p not in dead]
+            counts = [sum(map(len, recorded[p])) for p in live]
+            quartets = np.vstack(
+                [np.empty((0, 4), np.int64)] + [a for p in live for a in recorded[p]]
+            )
+            recorded.clear()  # drop the per-task copies before the sweep's peak
+            # each rank reads D only where it prefetched, fetched or
+            # inherited it, in either orientation (D is symmetric)
+            d_stack = np.stack([
+                np.where(b.have, b.d_local, b.d_local.T) for b in bufs
+            ])
+            j, k = jk_for_quartets(
+                engine, d_stack, quartets, nslots=nproc,
+                slots=np.repeat(live, counts),
+            )
+            sw["quartets"] = len(quartets)
+
         # -- final flush (Algorithm 4, line 9) --------------------------------
         flush_time = np.zeros(nproc)
         with tracer.span("flush", cat="fock"):
-            dead = set(outcome.dead_ranks)
 
             def acc_bbox(p: int, g: np.ndarray, channel: str) -> None:
                 nz = np.nonzero(g)
@@ -288,7 +323,7 @@ def gtfock_build(
                     # re-executed (and will be flushed) by survivors
                     continue
                 clock0 = float(stats.clock[p])
-                g = 2.0 * bufs[p].j - bufs[p].k
+                g = 2.0 * j[p] - k[p]
                 if not g.any():
                     continue
                 # attribute the flush: contributions inside this process's
@@ -309,7 +344,7 @@ def gtfock_build(
                 )
             fock = hcore + ga_g.to_numpy()
         top["steals"] = len(outcome.steals)
-        top["quartets"] = float(outcome.executed_tasks.sum())
+        top["quartets"] = len(quartets)
         if fstate is not None:
             top["dead_ranks"] = len(outcome.dead_ranks)
             top["reexecuted"] = outcome.reexecuted_tasks
@@ -337,4 +372,5 @@ def gtfock_build(
         screen=screen,
         costs=costs,
         faults=fstate,
+        quartets_computed=len(quartets),
     )

@@ -11,6 +11,14 @@ The baseline the paper compares against:
 
 No prefetching is possible because task placement is unknown a priori
 (the paper's second criticism), so every task pays its own communication.
+
+A task's contribution does not depend on which process runs it, so the
+host computes the tasks' J/K in class-batched ERI + J/K sweeps, one
+output slot per task, over windows of consecutive task ids (one sweep
+per build unless the stacked J/K would outgrow ``_SWEEP_BYTES``);
+``on_task`` accumulates the task's atom-pair blocks of ``2J - K``.
+Simulated time never depends on host compute, so the clocks and
+counters are those of a per-quartet contraction inside each task.
 """
 
 from __future__ import annotations
@@ -21,13 +29,24 @@ import numpy as np
 
 from repro.fock.centralized import CentralizedOutcome, run_centralized
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.tasks import NWChemTask, atom_quartet_shell_quartets, nwchem_task_list
+from repro.fock.tasks import atom_quartet_shell_quartets, nwchem_task_list
+from repro.integrals.class_batch import EIGHT_PERMUTATIONS, jk_for_quartets
 from repro.integrals.engine import ERIEngine
 from repro.obs.flight import CH_FOCK_ACC, CH_TASK_GET
 from repro.runtime.ga import GlobalArray, block_bounds
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
-from repro.scf.fock import orbit_images
+
+#: quartet index positions of the F blocks its orbit images update, in
+#: first-update order: image ``(a,b,c,d)`` updates ``J[a,b]`` then ``K[a,c]``
+_F_WRITES: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(
+    pos
+    for perm in EIGHT_PERMUTATIONS
+    for pos in ((perm[0], perm[1]), (perm[0], perm[2]))
+))
+
+#: host-memory budget of one sweep's stacked per-task J and K
+_SWEEP_BYTES = 32 << 20
 
 
 @dataclass
@@ -75,6 +94,8 @@ def nwchem_build(
         raise ValueError("hcore/density shape does not match the basis")
     if screen is None:
         screen = ScreeningMap(basis, engine.schwarz(), tau)
+    elif screen.tau != tau:
+        raise ValueError(f"screen.tau = {screen.tau} but tau = {tau}")
     if nproc > nbf:
         raise ValueError(f"cannot block-row distribute {nbf} rows over {nproc} procs")
 
@@ -90,20 +111,34 @@ def nwchem_build(
     shells_of_atom = basis.atom_shell_lists()
     aranges = atom_function_ranges(basis)
     sizes = basis.shell_sizes().astype(float)
-    slices = basis.shell_slices
+    atom_of = basis.atom_of_shell
     t_eri = config.t_int_nwchem  # one process per core
 
-    def quartets_of(task: NWChemTask):
-        for l_at in task.l_range():
-            yield from atom_quartet_shell_quartets(
+    # per task, enumerating its shell quartets once: the cost, the
+    # atom-pair F blocks it updates, and the quartets as an array
+    costs: list[float] = []
+    task_pairs: list[list[tuple[int, int]]] = []
+    task_quartets: list[np.ndarray] = []
+    for task in tasks:
+        quartets = [
+            quartet
+            for l_at in task.l_range()
+            for quartet in atom_quartet_shell_quartets(
                 screen, shells_of_atom, task.i_at, task.j_at, task.k_at, l_at
             )
-
-    def cost_of(task: NWChemTask) -> float:
+        ]
         n_eri = 0.0
-        for (m, n, p, q) in quartets_of(task):
+        touched: set[tuple[int, int]] = set()
+        for quartet in quartets:
+            m, n, p, q = quartet
             n_eri += sizes[m] * sizes[n] * sizes[p] * sizes[q]
-        return n_eri * t_eri + config.task_overhead
+            for i, j in _F_WRITES:
+                touched.add((quartet[i], quartet[j]))
+        costs.append(n_eri * t_eri + config.task_overhead)
+        # the set is built in a per-quartet contraction's insertion order,
+        # so it iterates -- and the accumulates charge clocks -- alike
+        task_pairs.append(list({(int(atom_of[a]), int(atom_of[b])) for (a, b) in touched}))
+        task_quartets.append(np.array(quartets, dtype=np.int64).reshape(-1, 4))
 
     def comm_of(proc: int, tid: int) -> None:
         # fetch the D atom blocks this task's quartets touch (6 pairs per
@@ -115,36 +150,38 @@ def nwchem_build(
                 (r0, r1), (c0, c1) = aranges[a], aranges[b]
                 ga_d.get(proc, r0, r1, c0, c1, channel=CH_TASK_GET)
 
-    # local accumulation buffer per process; flushed per task region
-    jbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
-    kbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
+    # the tasks' contributions 2J - K, swept one window of consecutive
+    # task ids at a time (one output slot per task) so the stacked J/K
+    # stays within _SWEEP_BYTES; the counter hands ids out in order, so
+    # each window is swept once
+    counts = [len(q) for q in task_quartets]
+    first = np.concatenate([[0], np.cumsum(counts)])
+    quartets = np.vstack([np.empty((0, 4), np.int64), *task_quartets])
+    del task_quartets
+    width = max(1, _SWEEP_BYTES // (16 * nbf * nbf))
+    lo = hi = 0
+    g_win = None
 
     def on_task(proc: int, tid: int) -> None:
-        touched: set[tuple[int, int]] = set()
-        for (m, n, p, q) in quartets_of(tasks[tid]):
-            block = engine.quartet(m, n, p, q)
-            for (a, b, c, d), blk in orbit_images((m, n, p, q), block):
-                sa, sb, sc, sd = slices[a], slices[b], slices[c], slices[d]
-                jbuf[proc][sa, sb] += np.einsum("abcd,cd->ab", blk, density[sc, sd])
-                kbuf[proc][sa, sc] += np.einsum("abcd,bd->ac", blk, density[sb, sd])
-                touched.add((a, b))
-                touched.add((a, c))
+        nonlocal lo, hi, g_win
+        if not lo <= tid < hi:
+            g_win = None  # drop the previous window before the next peak
+            lo, hi = tid, min(tid + width, len(tasks))
+            g_win, k = jk_for_quartets(
+                engine, density, quartets[first[lo]:first[hi]],
+                slots=np.repeat(np.arange(hi - lo), counts[lo:hi]), nslots=hi - lo,
+            )
+            g_win *= 2.0
+            g_win -= k
         # accumulate the updated F blocks back (Algorithm 2 line 16);
         # aggregate per touched atom-pair block like NWChem's 6 updates
-        atom_pairs = {
-            (int(basis.atom_of_shell[a]), int(basis.atom_of_shell[b]))
-            for (a, b) in touched
-        }
-        for (a_at, b_at) in atom_pairs:
+        g = g_win[tid - lo]
+        for (a_at, b_at) in task_pairs[tid]:
             (r0, r1), (c0, c1) = aranges[a_at], aranges[b_at]
-            g = 2.0 * jbuf[proc][r0:r1, c0:c1] - kbuf[proc][r0:r1, c0:c1]
-            ga_g.acc(proc, r0, c0, g, channel=CH_FOCK_ACC)
-            jbuf[proc][r0:r1, c0:c1] = 0.0
-            kbuf[proc][r0:r1, c0:c1] = 0.0
+            ga_g.acc(proc, r0, c0, g[r0:r1, c0:c1], channel=CH_FOCK_ACC)
 
     outcome = run_centralized(
-        [cost_of(task) for task in tasks], nproc, stats,
-        comm_of=comm_of, on_task=on_task,
+        costs, nproc, stats, comm_of=comm_of, on_task=on_task,
     )
     fock = hcore + ga_g.to_numpy()
     return NWChemBuildResult(

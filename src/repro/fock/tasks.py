@@ -52,11 +52,6 @@ def enumerate_task_quartets(
                 yield (m, int(p), n, int(q))
 
 
-def task_quartet_count(screen: ScreeningMap, m: int, n: int) -> int:
-    """Exact surviving-quartet count of one task (test/verification path)."""
-    return sum(1 for _ in enumerate_task_quartets(screen, m, n))
-
-
 # ---------------------------------------------------------------------------
 # NWChem atom-quartet tasks
 # ---------------------------------------------------------------------------

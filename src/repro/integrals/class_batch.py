@@ -156,6 +156,8 @@ class ClassBatch:
     transforms: tuple = field(repr=False, default=None)
     #: memoized store-offset resolution: (store generation, offsets)
     _store_res: tuple = field(repr=False, default=None, compare=False)
+    #: per-row J/K output slot (``None``: one J/K pair), sorted with ``quartets``
+    slots: np.ndarray | None = None
 
     @property
     def nq(self) -> int:
@@ -178,6 +180,8 @@ class ClassPlan:
 
     batches: list[ClassBatch]
     nquartets: int
+    #: number of stacked J/K outputs (``None``: one J/K pair)
+    nslots: int | None = None
 
     def chunks(self) -> list[tuple[ClassBatch, int, int]]:
         """All ``(batch, lo, hi)`` work items, largest classes first."""
@@ -190,11 +194,12 @@ class ClassPlan:
 
 
 def _build_batch(
-    basis: BasisSet, pair_cache: ShellPairData, key: tuple, quartet_list: list
+    basis: BasisSet, pair_cache: ShellPairData, qarr: np.ndarray,
+    out_slots: np.ndarray | None,
 ) -> ClassBatch:
-    la, lb, lc, ld = key[:4]
-    pure = key[4:8]
-    qarr = np.asarray(quartet_list, dtype=np.int64).reshape(-1, 4)
+    shells = [basis.shells[int(i)] for i in qarr[0]]
+    la, lb, lc, ld = (sh.l for sh in shells)
+    pure = tuple(sh.pure for sh in shells)
     m, n, p, q = qarr.T
     pattern = (
         (m == n).astype(np.int64)
@@ -206,6 +211,8 @@ def _build_batch(
     )
     order = np.argsort(pattern, kind="stable")
     qarr = qarr[order]
+    if out_slots is not None:
+        out_slots = out_slots[order]
     pattern = pattern[order]
     subgroups: list[tuple[int, int, tuple]] = []
     lo = 0
@@ -216,17 +223,9 @@ def _build_batch(
         lo = hi
 
     def slot_pairs(cols: np.ndarray):
-        slots = np.empty(nq, dtype=np.int64)
         index: dict[tuple[int, int], int] = {}
-        pairs: list[tuple[int, int]] = []
-        for row, (i, j) in enumerate(cols):
-            pk = (int(i), int(j))
-            slot = index.get(pk)
-            if slot is None:
-                slot = index[pk] = len(pairs)
-                pairs.append(pk)
-            slots[row] = slot
-        return slots, pairs
+        ids = [index.setdefault(pk, len(index)) for pk in map(tuple, cols.tolist())]
+        return np.array(ids, dtype=np.int64), list(index)
 
     bra_slots, bra_pairs = slot_pairs(qarr[:, :2])
     ket_slots, ket_pairs = slot_pairs(qarr[:, 2:])
@@ -256,41 +255,69 @@ def _build_batch(
         quartets=qarr, bra_slots=bra_slots, ket_slots=ket_slots,
         bra=bra, ket=ket, subgroups=subgroups, cost=cost,
         TT=TT, UU=UU, VV=VV, ket_sign=ket_sign,
-        scales=scales, transforms=transforms,
+        scales=scales, transforms=transforms, slots=out_slots,
     )
+
+
+def _quartet_rows(quartets) -> np.ndarray:
+    """An iterable of shell-index 4-tuples (or an array) as ``(nq, 4)`` int64."""
+    if not isinstance(quartets, np.ndarray):
+        quartets = np.fromiter(quartets, dtype=np.dtype((np.int64, 4)))
+    return quartets.reshape(-1, 4).astype(np.int64, copy=False)
 
 
 def build_class_plan(
     basis: BasisSet,
     pair_cache: ShellPairData | None,
     quartets,
+    slots=None,
+    nslots: int | None = None,
 ) -> ClassPlan:
-    """Group ``quartets`` (an iterable of shell-index 4-tuples) by class.
+    """Group ``quartets`` (an iterable of shell-index 4-tuples, or an
+    ``(nq, 4)`` array) by class, classes in order of first appearance.
 
     ``pair_cache`` supplies (and memoizes) the stacked
     :class:`~repro.integrals.pairdata.PairData`; pass ``None`` to use a
-    throwaway per-plan cache.
+    throwaway per-plan cache.  ``slots`` (one int in ``[0, nslots)`` per
+    quartet; ``nslots`` defaults to the largest slot + 1) routes each
+    quartet to its own stacked J/K output.
     """
     if pair_cache is None:
         pair_cache = ShellPairData(basis)
+    qarr = _quartet_rows(quartets)
+    if slots is not None:
+        slots = np.asarray(slots, dtype=np.int64)
+        if nslots is None:
+            nslots = int(slots.max()) + 1 if slots.size else 0
+    # the class key (la, lb, lc, ld, pure flags, npp_bra, npp_ket) packed
+    # into one int64 per quartet: 4 bits per l, 4 pure bits, 20 bits per
+    # primitive-pair count
     shells = basis.shells
-    groups: dict[tuple, list] = {}
-    for quartet in quartets:
-        m, n, p, q = quartet
-        sa, sb, sc, sd = shells[m], shells[n], shells[p], shells[q]
-        key = (
-            sa.l, sb.l, sc.l, sd.l,
-            sa.pure, sb.pure, sc.pure, sd.pure,
-            sa.nprim * sb.nprim, sc.nprim * sd.nprim,
-        )
-        groups.setdefault(key, []).append(quartet)
-    batches = [
-        _build_batch(basis, pair_cache, key, qlist)
-        for key, qlist in groups.items()
-    ]
+    lv = np.array([sh.l for sh in shells], dtype=np.int64)
+    pv = np.array([sh.pure for sh in shells], dtype=np.int64)
+    nv = np.array([sh.nprim for sh in shells], dtype=np.int64)
+    m, n, p, q = qarr.T
+    code = (((lv[m] * 16 + lv[n]) * 16 + lv[p]) * 16 + lv[q]) * 16
+    code += pv[m] | pv[n] << 1 | pv[p] << 2 | pv[q] << 3
+    code = code << 40 | nv[m] * nv[n] << 20 | nv[p] * nv[q]
+    # group ids numbered in order of first appearance
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    gid = rank[inverse.ravel()]
+    order = np.argsort(gid, kind="stable")
+    batches = []
+    start = 0
+    for stop in np.cumsum(np.bincount(gid)):
+        rows = order[start:stop]
+        start = stop
+        batches.append(_build_batch(
+            basis, pair_cache, qarr[rows], None if slots is None else slots[rows]
+        ))
     batches.sort(key=lambda b: -b.cost)
     return ClassPlan(
-        batches=batches, nquartets=sum(b.nq for b in batches)
+        batches=batches, nquartets=sum(b.nq for b in batches),
+        nslots=None if slots is None else nslots,
     )
 
 
@@ -387,8 +414,11 @@ def _scatter_chunk(
     computed as one multi-quartet einsum per image and scattered with a
     single ``np.bincount`` per matrix -- the batched replacement of
     ``scatter_quartet``'s per-quartet einsum pair.
+
+    A slotted batch scatters row ``i`` into segment ``batch.slots[i]`` of
+    the flat buffers (and reads ``density[slot]`` if D is stacked).
     """
-    n = density.shape[0]
+    n = density.shape[-1]
     ranges = [np.arange(d) for d in batch.dims]
     for glo, ghi, perms in batch.subgroups:
         s, e = max(glo, lo), min(ghi, hi)
@@ -396,6 +426,13 @@ def _scatter_chunk(
             continue
         blk_rows = blocks[s - lo:e - lo]
         img_q = batch.quartets[s:e]
+        lead: tuple = ()
+        base = None
+        if batch.slots is not None:
+            slot = batch.slots[s:e, None, None]
+            base = slot * (n * n)
+            if density.ndim == 3:
+                lead = (slot,)
         for perm in perms:
             pq = img_q[:, perm]
             blkp = blk_rows.transpose(
@@ -409,30 +446,49 @@ def _scatter_chunk(
             nq = pq.shape[0]
             da, db, dc, dd = (len(r) for r in (ra, rb, rc, rd))
             # J: sum_cd (ab|cd) D[c,d] -- one batched matvec per image
-            dcd = density[ci[:, :, None], di[:, None, :]]
+            dcd = density[lead + (ci[:, :, None], di[:, None, :])]
             cj = np.matmul(
                 blkp.reshape(nq, da * db, dc * dd),
                 dcd.reshape(nq, dc * dd, 1),
             )
-            jflat += np.bincount(
-                (ai[:, :, None] * n + bi[:, None, :]).ravel(),
-                weights=cj.ravel(), minlength=n * n,
-            )
+            _scatter_add(jflat, ai[:, :, None] * n + bi[:, None, :], cj, base)
             # K: sum_bd (ab|cd) D[b,d] -- regroup axes to (ac, bd)
-            dbd = density[bi[:, :, None], di[:, None, :]]
+            dbd = density[lead + (bi[:, :, None], di[:, None, :])]
             ck = np.matmul(
                 blkp.transpose(0, 1, 3, 2, 4).reshape(nq, da * dc, db * dd),
                 dbd.reshape(nq, db * dd, 1),
             )
-            kflat += np.bincount(
-                (ai[:, :, None] * n + ci[:, None, :]).ravel(),
-                weights=ck.ravel(), minlength=n * n,
-            )
+            _scatter_add(kflat, ai[:, :, None] * n + ci[:, None, :], ck, base)
+
+
+def _scatter_add(
+    flat: np.ndarray, idx: np.ndarray, weights: np.ndarray, base
+) -> None:
+    """``flat[idx + base] += weights``, summing repeated indices.
+
+    A slotted (``nslots`` times larger) buffer is bincounted over the
+    chunk's unique indices only: O(chunk), never O(nslots * n*n).
+    """
+    if base is None:
+        flat += np.bincount(idx.ravel(), weights=weights.ravel(), minlength=flat.size)
+        return
+    uniq, inv = np.unique((idx + base).ravel(), return_inverse=True)
+    flat[uniq] += np.bincount(inv.ravel(), weights=weights.ravel())
 
 
 # ---------------------------------------------------------------------------
 # chunk resolution: store -> LRU cache -> compute
 # ---------------------------------------------------------------------------
+
+
+def uses_class_kernel(engine) -> bool:
+    """Whether chunks are computed by the class-batched MD kernel; other
+    engines, and seeded ``scf`` fault injection (whose corruption stream
+    is defined per quartet), stack ``engine.quartet`` blocks instead."""
+    return (
+        getattr(engine, "supports_class_batched", False)
+        and getattr(engine, "scf_faults", None) is None
+    )
 
 
 def _store_offsets(batch: ClassBatch, store) -> np.ndarray | None:
@@ -459,6 +515,12 @@ def _resolve_chunk(
     nrows = hi - lo
     counts = {"computed": 0, "from_store": 0, "from_cache": 0, "rescued": 0,
               "crc_rescued": 0}
+    if not uses_class_kernel(engine):
+        # engine.quartet keeps its own cache/store/compute counters
+        blocks = np.empty((nrows,) + batch.dims)
+        for i, quartet in enumerate(batch.quartets[lo:hi].tolist()):
+            blocks[i] = engine.quartet(*quartet)
+        return blocks, counts
     if store is not None and store.ready:
         offs = _store_offsets(batch, store)
         if offs is not None:
@@ -547,11 +609,10 @@ class JKInterrupted(RuntimeError):
     """A threaded J/K contraction was interrupted mid-build (job teardown)."""
 
 
-def _run_chunks(engine, density, chunks, starts, store, cache):
+def _run_chunks(engine, density, chunks, starts, store, cache, size):
     """One worker's share: private J/K buffers + per-phase wall/cpu."""
-    n = density.shape[0]
-    jflat = np.zeros(n * n)
-    kflat = np.zeros(n * n)
+    jflat = np.zeros(size)
+    kflat = np.zeros(size)
     stats = {
         "eri_wall": 0.0, "eri_cpu": 0.0, "jk_wall": 0.0, "jk_cpu": 0.0,
         "calls": 0, "computed": 0, "from_store": 0, "from_cache": 0,
@@ -591,12 +652,15 @@ def jk_from_plan(
     thread pool; every worker owns private J/K accumulators (reduced at
     the end) plus private phase timings, which are folded into the active
     profiler as one ``eri_quartets``/``jk_contraction`` sample per chunk
-    -- spans per class batch, never per quartet.
+    -- spans per class batch, never per quartet.  A slotted plan returns
+    J and K stacked ``(plan.nslots, n, n)``.
     """
     from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
 
     basis = engine.basis
     n = basis.nbf
+    shape = (n, n) if plan.nslots is None else (plan.nslots, n, n)
+    size = int(np.prod(shape))
     starts = basis.offsets[:-1].astype(np.int64)
     store = getattr(engine, "integral_store", None) if use_store else None
     cache = getattr(engine, "quartet_cache", None) if use_cache else None
@@ -605,8 +669,8 @@ def jk_from_plan(
     prof = get_profiler()
 
     if nthreads <= 1 or len(chunks) <= 1:
-        jflat = np.zeros(n * n)
-        kflat = np.zeros(n * n)
+        jflat = np.zeros(size)
+        kflat = np.zeros(size)
         totals = {"computed": 0, "from_store": 0, "from_cache": 0,
                   "rescued": 0, "crc_rescued": 0}
         eri_span = prof.phase(PHASE_ERI)
@@ -631,12 +695,12 @@ def jk_from_plan(
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(
                 lambda share: _run_chunks(
-                    engine, density, share, starts, store, cache
+                    engine, density, share, starts, store, cache, size
                 ),
                 shares,
             ))
-        jflat = np.zeros(n * n)
-        kflat = np.zeros(n * n)
+        jflat = np.zeros(size)
+        kflat = np.zeros(size)
         totals = {"computed": 0, "from_store": 0, "from_cache": 0,
                   "rescued": 0, "crc_rescued": 0}
         for jp, kp, stats in results:
@@ -659,7 +723,7 @@ def jk_from_plan(
         engine.crc_rescues += totals["crc_rescued"]
         if store.filling and store.pending_blocks:
             store.finalize(tau)
-    return jflat.reshape(n, n), kflat.reshape(n, n)
+    return jflat.reshape(shape), kflat.reshape(shape)
 
 
 def jk_for_quartets(
@@ -667,18 +731,34 @@ def jk_for_quartets(
     density: np.ndarray,
     quartets,
     threads: int | None = 1,
+    slots=None,
+    nslots: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """J/K contribution of an explicit quartet list, class-batched.
 
-    Used by the multiprocessing Fock workers: each worker groups its
-    task chunk's quartets into a throwaway plan and runs the same
-    batched sweep + scatter.  The quartet tuples may be in any index
-    order (the coincidence-pattern scatter handles arbitrary tuples);
-    the store and LRU layers are bypassed because worker-side fills
+    Used by the multiprocessing Fock workers and the numeric distributed
+    builders: the quartets are grouped into a throwaway plan and run
+    through the same batched sweep + scatter.  The quartet tuples may be
+    in any index order: each is first turned to its canonical orientation
+    (as :func:`~repro.integrals.engine.canonical_quartet`), so a list
+    shares classes and pair data with the sequential plan.  The class
+    kernel bypasses the store and LRU layers because worker-side fills
     would be lost with the forked process anyway.
+
+    ``slots`` (see :func:`build_class_plan`) return J and K stacked
+    ``(nslots, n, n)``; a stacked ``(nslots, n, n)`` ``density`` is read
+    per slot.
     """
-    pair_cache = getattr(engine, "pair_cache", None)
-    plan = build_class_plan(engine.basis, pair_cache, quartets)
+    # (bra, ket) pairs each sorted descending, then bra >= ket
+    pairs = np.sort(_quartet_rows(quartets).reshape(-1, 2, 2), axis=2)[:, :, ::-1]
+    bra, ket = pairs[:, 0], pairs[:, 1]
+    swap = (bra[:, 0] < ket[:, 0]) | ((bra[:, 0] == ket[:, 0]) & (bra[:, 1] < ket[:, 1]))
+    pairs[swap] = pairs[swap, ::-1]
+    plan = build_class_plan(
+        engine.basis, getattr(engine, "pair_cache", None), pairs.reshape(-1, 4),
+        slots, nslots,
+    )
+    del pairs, bra, ket  # the plan holds its own per-class copies
     return jk_from_plan(
         engine, density, plan, threads=threads,
         use_store=False, use_cache=False,

@@ -72,18 +72,30 @@ def config_hash(config: dict) -> str:
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _git_sha() -> str:
-    """HEAD of the repository containing this package (or "unknown")."""
+def _git(*args: str) -> str | None:
+    """stdout of ``git args`` in the repository containing this package,
+    or ``None`` when git or the repository is unavailable."""
     here = os.path.dirname(os.path.abspath(__file__))
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=here, capture_output=True, text=True, timeout=5,
+            ["git", *args], cwd=here, capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_sha() -> str:
+    """HEAD of the repository containing this package (or "unknown")."""
+    return _git("rev-parse", "HEAD") or "unknown"
+
+
+def _git_dirty() -> bool | str:
+    """Whether tracked files differ from HEAD -- numbers measured on a
+    dirty tree belong to uncommitted code, not to ``git_sha`` -- or
+    "unknown"."""
+    out = _git("status", "--porcelain", "--untracked-files=no")
+    return "unknown" if out is None else bool(out)
 
 
 def _dist_version(name: str) -> str:
@@ -115,6 +127,7 @@ def provenance() -> dict:
         "package": "repro",
         "version": _dist_version("repro"),
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy_version,

@@ -36,7 +36,6 @@ from repro.fock.tasks import enumerate_task_quartets
 from repro.integrals.class_batch import jk_for_quartets
 from repro.integrals.engine import ERIEngine
 from repro.obs import get_tracer
-from repro.scf.fock import orbit_images
 
 _WORKER_STATE: dict = {}
 
@@ -90,32 +89,15 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     engine: ERIEngine = _WORKER_STATE["engine"]
     screen: ScreeningMap = _WORKER_STATE["screen"]
     density: np.ndarray = _WORKER_STATE["density"]
-    basis = engine.basis
     quartets = [
         qt
         for m, nn in tasks
         for qt in enumerate_task_quartets(screen, m, nn)
     ]
-    if (
-        getattr(engine, "supports_class_batched", False)
-        and getattr(engine, "scf_faults", None) is None
-        and quartets
-    ):
-        # the worker's whole task chunk as one class-batched sweep; the
-        # coincidence-pattern scatter handles the non-canonical
-        # (M, P, N, Q) task tuples directly
-        return jk_for_quartets(engine, density, quartets)
-    n = basis.nbf
-    j = np.zeros((n, n))
-    k = np.zeros((n, n))
-    slices = basis.shell_slices
-    for (mm, pp, nq, qq) in quartets:
-        block = engine.quartet(mm, pp, nq, qq)
-        for (a, b, c, d), blk in orbit_images((mm, pp, nq, qq), block):
-            sa, sb, sc, sd = slices[a], slices[b], slices[c], slices[d]
-            j[sa, sb] += np.einsum("abcd,cd->ab", blk, density[sc, sd])
-            k[sa, sc] += np.einsum("abcd,bd->ac", blk, density[sb, sd])
-    return j, k
+    # the worker's whole task chunk as one class-batched sweep; the
+    # coincidence-pattern scatter handles the non-canonical (M, P, N, Q)
+    # task tuples directly
+    return jk_for_quartets(engine, density, quartets)
 
 
 def _cost_sorted_chunks(

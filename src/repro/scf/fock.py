@@ -7,9 +7,10 @@ block to all of its permutation images, and assembles
 
 ``F = H^core + 2J - K``          (Eq 3 of the paper).
 
-The scatter helper :func:`orbit_images` is shared with the distributed
-builders so numeric equality is a test of *task coverage and data
-movement*, not of contraction formulas.
+The distributed builders contract through the same class-batched
+scatter (:func:`repro.integrals.class_batch.jk_for_quartets`) as this
+build's default path, so numeric equality is a test of *task coverage
+and data movement*, not of contraction formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.integrals.class_batch import (
     EIGHT_PERMUTATIONS,
     iter_canonical_quartets,
     jk_from_plan,
+    uses_class_kernel,
 )
 from repro.integrals.engine import ERIEngine
 from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
@@ -128,10 +130,7 @@ def build_jk(
     """
     basis = engine.basis
     check_symmetric(density, "density", tol=1e-8)
-    if (
-        getattr(engine, "supports_class_batched", False)
-        and getattr(engine, "scf_faults", None) is None
-    ):
+    if uses_class_kernel(engine):
         return jk_from_plan(
             engine, density, engine.class_plan(tau), tau=tau, threads=threads
         )

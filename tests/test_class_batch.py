@@ -226,6 +226,66 @@ class TestJKForQuartets:
         assert np.allclose(j_all, j1 + j2, atol=1e-12, rtol=0)
         assert np.allclose(k_all, k1 + k2, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_slots_route_each_quartet_to_its_own_jk(self, stacked, threads):
+        """Slot s of a slotted sweep == an unslotted sweep of slot s's
+        quartets against slot s's density (to summation order)."""
+        basis = BasisSet.build(water(), "sto-3g")
+        rng = np.random.default_rng(37)
+        nslots = 3
+        dens = np.stack([rand_density(rng, basis.nbf) for _ in range(nslots)])
+        engine = MDEngine(basis)
+        quartets = list(iter_canonical_quartets(engine.schwarz(), 1e-11))
+        slots = rng.integers(0, nslots, len(quartets))
+        d_in = dens if stacked else dens[0]
+        j, k = jk_for_quartets(
+            engine, d_in, quartets, threads=threads, slots=slots, nslots=nslots
+        )
+        assert j.shape == k.shape == (nslots, basis.nbf, basis.nbf)
+        for s in range(nslots):
+            mine = [qt for qt, t in zip(quartets, slots) if t == s]
+            j_s, k_s = jk_for_quartets(engine, dens[s] if stacked else dens[0], mine)
+            assert np.allclose(j[s], j_s, atol=1e-12, rtol=0)
+            assert np.allclose(k[s], k_s, atol=1e-12, rtol=0)
+
+    def test_many_sparse_slots_sum_to_unslotted_sweep(self):
+        """More slots than quartets per slot: the per-slot J/K still sum
+        to the unslotted sweep's."""
+        basis = BasisSet.build(water(), "sto-3g")
+        rng = np.random.default_rng(41)
+        d = rand_density(rng, basis.nbf)
+        engine = MDEngine(basis)
+        quartets = list(iter_canonical_quartets(engine.schwarz(), 1e-11))
+        nslots = 2000
+        slots = rng.integers(0, nslots, len(quartets))
+        j, k = jk_for_quartets(engine, d, quartets, slots=slots, nslots=nslots)
+        j_all, k_all = jk_for_quartets(engine, d, quartets)
+        assert np.allclose(j.sum(axis=0), j_all, atol=1e-12, rtol=0)
+        assert np.allclose(k.sum(axis=0), k_all, atol=1e-12, rtol=0)
+
+    def test_nslots_defaults_to_largest_slot(self):
+        basis = BasisSet.build(water(), "sto-3g")
+        j, k = jk_for_quartets(
+            MDEngine(basis), np.eye(basis.nbf), [(0, 0, 0, 0)], slots=[2]
+        )
+        assert j.shape == k.shape == (3, basis.nbf, basis.nbf)
+        assert not j[:2].any() and j[2].any()
+
+    def test_generic_engine_through_same_scatter(self):
+        """Engines without the class kernel stack engine.quartet blocks."""
+        basis = BasisSet.build(water(), "sto-3g")
+        rng = np.random.default_rng(43)
+        d = rand_density(rng, basis.nbf)
+        md = MDEngine(basis)
+        quartets = list(iter_canonical_quartets(md.schwarz(), 1e-11))
+        os_engine = OSEngine(basis)
+        j_os, k_os = jk_for_quartets(os_engine, d, quartets)
+        j_md, k_md = jk_for_quartets(md, d, quartets)
+        assert os_engine.quartets_computed == md.quartets_computed == len(quartets)
+        assert np.allclose(j_os, j_md, atol=1e-10, rtol=0)
+        assert np.allclose(k_os, k_md, atol=1e-10, rtol=0)
+
 
 class TestProfilerAttribution:
     """Spans land per class chunk, not per quartet -- serial and threaded."""

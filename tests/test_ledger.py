@@ -93,6 +93,7 @@ class TestManifest:
         assert prov["package"] == "repro"
         assert isinstance(prov["cpu_count"], int)
         assert "." in prov["python"]
+        assert prov["git_dirty"] in (True, False, "unknown")
 
     def test_utc_timestamps_are_tz_aware(self):
         stamp = utc_now_iso()
