@@ -10,7 +10,8 @@ Times the water Fock-build microbenchmark five ways:
   (:mod:`repro.integrals.class_batch`) -- the default engine -- checked
   against the seed kernel to 1e-12 and gated at >= 10x over seed;
 * **cached**: two successive direct-SCF-style builds through the
-  bounded LRU canonical-quartet cache (second-iteration hit rate);
+  byte-bounded in-memory :class:`~repro.integrals.store.ERIStore`
+  behind ``cache_mb`` (second-iteration hit rate);
 * **stored**: conventional-SCF mode through an on-disk
   :class:`~repro.integrals.store.ERIStore` -- iteration 1 fills the
   store, iteration 2 must recompute **zero** quartets.
@@ -32,6 +33,7 @@ history file.
 
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 import tempfile
@@ -45,7 +47,10 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import benzene, water
 from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine
+from repro.obs.manifest import provenance
 from repro.scf.fock import build_jk
+
+from test_bench_dist_fock import _cpu_model
 
 HISTORY_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_eri.json"
 
@@ -56,6 +61,14 @@ FULL_SPEEDUP_FLOOR = 2.0
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
 CLASS_SPEEDUP_FLOOR = 10.0
+
+
+def _host() -> dict:
+    """Host fingerprint stamped on every datapoint."""
+    return dict(
+        provenance(), cpu=_cpu_model(),
+        blas_threads=os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+    )
 
 
 def _timed_build(engine, density, tau=1e-11):
@@ -99,10 +112,11 @@ def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
 
     cached = MDEngine(basis, cache_mb=64.0)
     t_iter1, _, _ = _timed_build(cached, d)
-    hits0, misses0 = cached.quartet_cache.hits, cached.quartet_cache.misses
+    hits0 = cached.quartets_served_from_cache
+    misses0 = cached.quartets_computed
     t_iter2, j2, k2 = _timed_build(cached, d)
-    hits = cached.quartet_cache.hits - hits0
-    misses = cached.quartet_cache.misses - misses0
+    hits = cached.quartets_served_from_cache - hits0
+    misses = cached.quartets_computed - misses0
     cache_diff = float(
         max(np.max(np.abs(j0 - j2)), np.max(np.abs(k0 - k2)))
     )
@@ -133,10 +147,11 @@ def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
         "cache_iter2_hits": hits,
         "cache_iter2_misses": misses,
         "cache_iter2_hit_rate": round(hits / max(1, hits + misses), 4),
-        "cache_bytes_held": cached.quartet_cache.bytes_held,
+        "cache_bytes_held": cached.integral_store.nbytes,
         "stored_iter2_s": round(t_stored, 4),
         "store_iter2_recomputed": recomputed,
         "stored_max_abs_diff": stored_diff,
+        "host": _host(),
     }
 
 
@@ -191,6 +206,7 @@ def run_eri_large_bench(basis_name: str = "6-31g", nsample: int = 64) -> dict:
         "stored_iter2_s": round(t_stored, 4),
         "store_iter2_recomputed": recomputed,
         "sample_max_abs_diff": sample_diff,
+        "host": _host(),
     }
 
 
@@ -209,7 +225,7 @@ def render_report(result: dict) -> str:
          result["batched_speedup"]],
         ["class-batched", result["t_class_s"],
          result["class_batched_speedup"]],
-        ["quartet-cache iter 2", result["t_cached_iter2_s"],
+        ["in-memory store iter 2", result["t_cached_iter2_s"],
          round(result["t_seed_s"] / max(result["t_cached_iter2_s"], 1e-12), 2)],
         ["stored iter 2", result["stored_iter2_s"],
          round(result["t_seed_s"] / max(result["stored_iter2_s"], 1e-12), 2)],

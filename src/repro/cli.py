@@ -441,6 +441,9 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_submit(args: argparse.Namespace) -> int:
     from repro.service import JobStore
 
+    if args.cache_mb is not None and args.store:
+        print("submit: --cache-mb and --store are exclusive", file=sys.stderr)
+        return 2
     spec: dict = {"kind": "scf", "molecule": args.molecule, "basis": args.basis}
     if args.jk_threads is not None:
         spec["jk_threads"] = args.jk_threads
@@ -1024,7 +1027,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_chaos.add_argument(
         "--quartet-nan-rate", type=float, default=0.05,
-        help="(scf family) per-quartet corruption probability",
+        help="(scf family) per-quartet-block corruption probability",
     )
     p_chaos.add_argument(
         "--seed", type=int, default=0,
@@ -1114,7 +1117,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sub.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
-        help="ERI quartet cache budget (released on MemoryError retries)",
+        help="in-memory ERI store bound in MiB: the first Fock build "
+        "records chunks up to it, later builds read them back (dropped "
+        "on MemoryError retries; exclusive with --store)",
     )
     p_sub.add_argument(
         "--store", default=None, metavar="DIR",

@@ -17,8 +17,8 @@ fault-overhead counters), never as a numeric change.
 The ``scf`` fault family (:func:`run_scf_chaos`) applies the same
 invariant to *numerical* faults: a seeded
 :class:`~repro.runtime.faults.SCFFaultPlan` corrupts batched ERI quartet
-blocks with NaN/Inf, the convergence guard's per-quartet sentinel
-rescues each one on the reference kernel, and the rescued Fock matrix
+blocks with NaN/Inf, the convergence guard's chunk sentinel rescues
+each one on the reference kernel, and the rescued Fock matrix
 must still match the fault-free build to ``<= 1e-12``.
 
 The ``sdc`` fault family (:func:`run_sdc_chaos`) is the *silent*
@@ -251,9 +251,10 @@ def run_scf_chaos(
     Builds the Fock matrix twice from identical inputs on the batched
     MD engine -- once clean, once with a seeded
     :class:`~repro.runtime.faults.SCFFaultPlan` corrupting quartet
-    blocks and the per-quartet NaN/Inf sentinel armed -- and verifies
-    every corruption was rescued (recomputed on the reference kernel)
-    with ``max |dF| <= tolerance``.
+    blocks (drawn once over the class plan, so the result does not
+    depend on ``REPRO_JK_THREADS``) and the chunk NaN/Inf sentinel
+    armed -- and verifies every corruption was rescued (recomputed on
+    the reference kernel) with ``max |dF| <= tolerance``.
     """
     from repro.scf.fock import fock_matrix
 

@@ -12,9 +12,7 @@ from repro.integrals.engine import (
     ERIEngine,
     MDEngine,
     OSEngine,
-    QuartetCache,
     SyntheticERIEngine,
-    canonical_quartet,
 )
 from repro.integrals.eri_3center import eri_2center_block, eri_3center_block
 from repro.integrals.eri_md import eri_shell_quartet, eri_tensor
@@ -52,9 +50,7 @@ __all__ = [
     "ERIEngine",
     "MDEngine",
     "OSEngine",
-    "QuartetCache",
     "SyntheticERIEngine",
-    "canonical_quartet",
     "ClassBatch",
     "ClassPlan",
     "ERIStore",

@@ -1,10 +1,10 @@
 """Cross-quartet, class-batched ERI evaluation and J/K contraction.
 
-PR 2's batched kernel removed the per-*primitive* Python loop but still
-walks shell quartets one at a time: ``build_jk`` pays interpreter and
-einsum-dispatch overhead per quartet, exactly the loop structure the
-MPI/OpenMP Xeon Phi HF restructure (arxiv 1708.00033) targets.  This
-module restructures the loop the same way:
+A per-quartet Fock build pays interpreter and einsum-dispatch overhead
+per shell quartet, exactly the loop structure the MPI/OpenMP Xeon Phi
+HF restructure (arxiv 1708.00033) targets.  This module restructures
+the loop the same way, and every J/K build of every engine runs
+through it:
 
 * **Class plan** (:func:`build_class_plan`): Schwarz-surviving canonical
   quartets are grouped by angular-momentum class -- the tuple
@@ -22,14 +22,19 @@ module restructures the loop the same way:
   their index-coincidence pattern, so each permutation image of a whole
   sub-batch is applied with one multi-quartet einsum against the
   gathered density blocks and one ``np.bincount`` scatter-add --
-  replacing ``scatter_quartet``'s per-quartet ``np.einsum`` pair.
+  replacing a per-quartet ``np.einsum`` pair.
+* **Chunk resolver** (:func:`_resolve_chunk`): the one place a chunk's
+  blocks come from -- a whole-chunk integral-store read, else the class
+  kernel (or, for engines without it, their own quartet kernel
+  stacked), then seeded ``scf`` corruption, the NaN/Inf sentinel's
+  reference-kernel rescue, and recording to a filling store.
 * **Threaded contraction** (:func:`jk_from_plan` ``threads=``): class
   chunks are dealt cost-sorted across a thread pool, each worker
   accumulating into private J/K buffers that are reduced at the end.
 
-Numerics agree with the per-quartet paths to summation order (tests pin
-<= 1e-10 elementwise across mixed s/p/d bases; the water benchmark gate
-pins <= 1e-12 on J/K vs the seed kernel).
+Numerics agree with per-quartet contraction to summation order (tests
+pin <= 1e-10 elementwise across mixed s/p/d bases; the water benchmark
+gate pins <= 1e-12 on J/K vs the seed kernel).
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from repro.integrals.pairdata import (
 from repro.integrals.spherical import transform_matrix
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
-#: permutational symmetry.  This is the one shared definition --
-#: ``repro.scf.fock`` and ``repro.integrals.engine`` import it.
+#: permutational symmetry.  This is the one shared definition -- the
+#: distributed builders in ``repro.fock`` import it.
 EIGHT_PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, 2, 3),
     (1, 0, 2, 3),
@@ -154,7 +159,7 @@ class ClassBatch:
     ket_sign: np.ndarray = field(repr=False, default=None)
     scales: tuple = field(repr=False, default=None)
     transforms: tuple = field(repr=False, default=None)
-    #: memoized store-offset resolution: (store generation, offsets)
+    #: memoized store-offset resolution: (store, generation, offsets)
     _store_res: tuple = field(repr=False, default=None, compare=False)
     #: per-row J/K output slot (``None``: one J/K pair), sorted with ``quartets``
     slots: np.ndarray | None = None
@@ -412,8 +417,7 @@ def _scatter_chunk(
         K[a,c] += sum_bd (ab|cd) D[b,d]
 
     computed as one multi-quartet einsum per image and scattered with a
-    single ``np.bincount`` per matrix -- the batched replacement of
-    ``scatter_quartet``'s per-quartet einsum pair.
+    single ``np.bincount`` per matrix.
 
     A slotted batch scatters row ``i`` into segment ``batch.slots[i]`` of
     the flat buffers (and reads ``density[slot]`` if D is stacked).
@@ -477,104 +481,100 @@ def _scatter_add(
 
 
 # ---------------------------------------------------------------------------
-# chunk resolution: store -> LRU cache -> compute
+# chunk resolution: store -> compute -> faults -> sentinel -> store
 # ---------------------------------------------------------------------------
 
-
-def uses_class_kernel(engine) -> bool:
-    """Whether chunks are computed by the class-batched MD kernel; other
-    engines, and seeded ``scf`` fault injection (whose corruption stream
-    is defined per quartet), stack ``engine.quartet`` blocks instead."""
-    return (
-        getattr(engine, "supports_class_batched", False)
-        and getattr(engine, "scf_faults", None) is None
-    )
+#: per-chunk tallies, folded into the engine counters on the calling thread
+_TALLIES = ("computed", "from_store", "corrupted", "rescued", "crc_rescued")
 
 
-def _store_offsets(batch: ClassBatch, store) -> np.ndarray | None:
-    """Per-row store offsets for a batch, memoized per store generation."""
+def _store_offsets(batch: ClassBatch, store) -> np.ndarray:
+    """Per-row offsets of a batch in a ready store, memoized per store
+    generation."""
     res = batch._store_res
-    if res is not None and res[0] == store.generation:
-        return res[1]
+    if res is not None and res[0] is store and res[1] == store.generation:
+        return res[2]
     offs = store.offsets_for(batch.quartets)
-    batch._store_res = (store.generation, offs)
+    batch._store_res = (store, store.generation, offs)
     return offs
 
 
-def _resolve_chunk(
-    engine, batch: ClassBatch, lo: int, hi: int, store, cache
-) -> tuple[np.ndarray, dict]:
-    """The stacked blocks for rows ``[lo, hi)`` and where they came from.
+def _compute_rows(engine, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
+    """Blocks for ``rows`` of a batch: one class-kernel sweep, or the
+    engine's own quartet kernel stacked (OS, synthetic, reference path)."""
+    if engine.supports_class_batched:
+        return compute_class_rows(batch, rows)
+    blocks = np.empty((len(rows),) + batch.dims)
+    for i, quartet in enumerate(batch.quartets[rows].tolist()):
+        blocks[i] = engine._quartet(*quartet)
+    return blocks
 
-    Resolution order per row: memory-mapped store (vectorized read of the
-    whole chunk), then the engine's LRU quartet cache, then one batched
-    kernel sweep over the remaining rows.  Computed rows are recorded to
-    a filling store and inserted into the cache, so both layers warm up
-    from the batched path exactly as they do from the per-quartet path.
+
+def _fault_schedule(engine, plan: ClassPlan) -> dict | None:
+    """One build's seeded ``scf`` corruption as per-batch ``(value,
+    element)`` row arrays, drawn once in plan order (``value`` 0.0 is a
+    clean row), so the build is reproducible at any thread count.
+
+    ``None`` without faults, or when the class kernel does not compute
+    the rows: the fault family models a bug in the fast kernel only.
+    """
+    state = getattr(engine, "scf_faults", None)
+    if state is None or not engine.supports_class_batched:
+        return None
+    nq = [b.nq for b in plan.batches]
+    sizes = np.repeat(np.array([b.block_size for b in plan.batches], np.int64), nq)
+    value, elem = state.draw_quartet_faults(sizes)
+    bounds = np.cumsum([0] + nq).tolist()
+    return {
+        id(b): (value[s:e], elem[s:e])
+        for b, s, e in zip(plan.batches, bounds, bounds[1:])
+    }
+
+
+def _resolve_chunk(
+    engine, batch: ClassBatch, lo: int, hi: int, store, faults
+) -> tuple[np.ndarray, dict]:
+    """The stacked blocks for rows ``[lo, hi)`` and their tallies.
+
+    The one place a chunk's blocks are produced, in this order: a
+    whole-chunk store read (CRC-failed rows recomputed); else compute
+    (:func:`_compute_rows`), plant the build's seeded ``scf``
+    corruption, rescue non-finite rows on the reference kernel when the
+    sentinel is armed, and record the chunk to a filling store.
     """
     nrows = hi - lo
-    counts = {"computed": 0, "from_store": 0, "from_cache": 0, "rescued": 0,
-              "crc_rescued": 0}
-    if not uses_class_kernel(engine):
-        # engine.quartet keeps its own cache/store/compute counters
-        blocks = np.empty((nrows,) + batch.dims)
-        for i, quartet in enumerate(batch.quartets[lo:hi].tolist()):
-            blocks[i] = engine.quartet(*quartet)
-        return blocks, counts
-    if store is not None and store.ready:
-        offs = _store_offsets(batch, store)
-        if offs is not None:
-            sel = offs[lo:hi]
-            if (sel >= 0).all():
-                blocks = store.read_stacked(sel, batch.block_size, batch.dims)
-                if store.verify_reads:
-                    # rows whose bytes fail the finalize-time CRC are
-                    # not trusted: recompute them with the same batched
-                    # kernel (bitwise-identical values, so a corrupted
-                    # store never perturbs F)
-                    good = store.verify_stacked(sel, blocks)
-                    if not good.all():
-                        bad = np.flatnonzero(~good)
-                        blocks[bad] = compute_class_rows(
-                            batch, np.arange(lo, hi)[bad]
-                        )
-                        counts["crc_rescued"] = len(bad)
-                counts["from_store"] = nrows
-                return blocks, counts
+    counts = dict.fromkeys(_TALLIES, 0)
     rows = np.arange(lo, hi)
-    blocks = None
-    missing = rows
-    if cache is not None and len(cache) > 0:
-        blocks = np.empty((nrows,) + batch.dims)
-        miss_idx = []
-        for i in range(nrows):
-            key = tuple(int(v) for v in batch.quartets[lo + i])
-            hit = cache.get(key)
-            if hit is None:
-                miss_idx.append(i)
-            else:
-                blocks[i] = hit
-        counts["from_cache"] = nrows - len(miss_idx)
-        if not miss_idx:
+    if store is not None and store.ready:
+        sel = _store_offsets(batch, store)[lo:hi]
+        if (sel >= 0).all():
+            blocks = store.read_stacked(sel, batch.block_size, batch.dims)
+            if store.verify_reads:
+                # rows whose bytes fail the finalize-time CRC are not
+                # trusted: recompute them with the same kernel
+                # (bitwise-identical values, so a corrupted store never
+                # perturbs F)
+                bad = np.flatnonzero(~store.verify_stacked(sel, blocks))
+                if bad.size:
+                    blocks[bad] = _compute_rows(engine, batch, rows[bad])
+                    counts["crc_rescued"] = bad.size
+            counts["from_store"] = nrows
             return blocks, counts
-        missing = rows[np.asarray(miss_idx)]
-    computed = compute_class_rows(batch, missing)
-    counts["computed"] = len(missing)
-    if engine.finite_check and not np.isfinite(computed.sum()):
-        finite = np.isfinite(computed.reshape(len(missing), -1)).all(axis=1)
+    blocks = _compute_rows(engine, batch, rows)
+    counts["computed"] = nrows
+    if faults is not None:
+        value, elem = faults[id(batch)]
+        hit = np.flatnonzero(value[lo:hi])  # NaN and Inf are nonzero
+        blocks.reshape(nrows, -1)[hit, elem[lo + hit]] = value[lo + hit]
+        counts["corrupted"] = hit.size
+    # sum-reduction sentinel: any NaN/Inf element makes the sum non-finite
+    if engine.finite_check and not np.isfinite(blocks.sum()):
+        finite = np.isfinite(blocks.reshape(nrows, -1)).all(axis=1)
         for i in np.flatnonzero(~finite):
-            key = tuple(int(v) for v in batch.quartets[missing[i]])
-            computed[i] = engine._rescue_quartet(*key)
-            counts["rescued"] += 1
+            blocks[i] = engine._rescue_quartet(*batch.quartets[lo + i].tolist())
+        counts["rescued"] = int((~finite).sum())
     if store is not None and store.filling:
-        store.record_batch(batch.quartets[missing], computed)
-    if cache is not None:
-        for i, row in enumerate(missing):
-            key = tuple(int(v) for v in batch.quartets[row])
-            cache.put(key, computed[i])
-    if blocks is None:
-        return computed, counts
-    blocks[missing - lo] = computed
+        store.record_batch(batch.quartets[lo:hi], blocks)
     return blocks, counts
 
 
@@ -609,20 +609,17 @@ class JKInterrupted(RuntimeError):
     """A threaded J/K contraction was interrupted mid-build (job teardown)."""
 
 
-def _run_chunks(engine, density, chunks, starts, store, cache, size):
+def _run_chunks(engine, density, chunks, starts, store, faults, size):
     """One worker's share: private J/K buffers + per-phase wall/cpu."""
     jflat = np.zeros(size)
     kflat = np.zeros(size)
-    stats = {
-        "eri_wall": 0.0, "eri_cpu": 0.0, "jk_wall": 0.0, "jk_cpu": 0.0,
-        "calls": 0, "computed": 0, "from_store": 0, "from_cache": 0,
-        "rescued": 0, "crc_rescued": 0,
-    }
+    stats = {"eri_wall": 0.0, "eri_cpu": 0.0, "jk_wall": 0.0, "jk_cpu": 0.0,
+             "calls": 0, **dict.fromkeys(_TALLIES, 0)}
     for batch, lo, hi in chunks:
         if _JK_INTERRUPT.is_set():
             raise JKInterrupted("threaded J/K interrupted between chunks")
         t0, c0 = time.perf_counter(), time.thread_time()
-        blocks, counts = _resolve_chunk(engine, batch, lo, hi, store, cache)
+        blocks, counts = _resolve_chunk(engine, batch, lo, hi, store, faults)
         t1, c1 = time.perf_counter(), time.thread_time()
         _scatter_chunk(jflat, kflat, density, starts, batch, blocks, lo, hi)
         t2, c2 = time.perf_counter(), time.thread_time()
@@ -631,8 +628,7 @@ def _run_chunks(engine, density, chunks, starts, store, cache, size):
         stats["jk_wall"] += t2 - t1
         stats["jk_cpu"] += c2 - c1
         stats["calls"] += 1
-        for key in ("computed", "from_store", "from_cache", "rescued",
-                    "crc_rescued"):
+        for key in _TALLIES:
             stats[key] += counts[key]
     return jflat, kflat, stats
 
@@ -644,17 +640,20 @@ def jk_from_plan(
     tau: float | None = None,
     threads: int | None = None,
     use_store: bool = True,
-    use_cache: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """J and K matrices from a class plan, one batched sweep per chunk.
 
-    ``threads > 1`` deals the cost-sorted chunk list round-robin across a
-    thread pool; every worker owns private J/K accumulators (reduced at
-    the end) plus private phase timings, which are folded into the active
-    profiler as one ``eri_quartets``/``jk_contraction`` sample per chunk
-    -- spans per class batch, never per quartet.  A slotted plan returns
-    J and K stacked ``(plan.nslots, n, n)``.
+    Every engine's J/K runs here; :func:`_resolve_chunk` produces each
+    chunk's blocks.  ``threads > 1`` deals the cost-sorted chunk list
+    round-robin across a thread pool; every worker owns private J/K
+    accumulators (reduced at the end) plus private phase timings, which
+    are folded into the active profiler as one
+    ``eri_quartets``/``jk_contraction`` sample per chunk -- spans per
+    class batch, never per quartet.  Chunk tallies reach the engine
+    counters on the calling thread.  A slotted plan returns J and K
+    stacked ``(plan.nslots, n, n)``.
     """
+    from repro.obs import get_metrics
     from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
 
     basis = engine.basis
@@ -663,28 +662,27 @@ def jk_from_plan(
     size = int(np.prod(shape))
     starts = basis.offsets[:-1].astype(np.int64)
     store = getattr(engine, "integral_store", None) if use_store else None
-    cache = getattr(engine, "quartet_cache", None) if use_cache else None
+    faults = _fault_schedule(engine, plan)
     chunks = plan.chunks()
     nthreads = resolve_jk_threads(threads)
     prof = get_profiler()
+    totals = dict.fromkeys(_TALLIES, 0)
 
     if nthreads <= 1 or len(chunks) <= 1:
         jflat = np.zeros(size)
         kflat = np.zeros(size)
-        totals = {"computed": 0, "from_store": 0, "from_cache": 0,
-                  "rescued": 0, "crc_rescued": 0}
         eri_span = prof.phase(PHASE_ERI)
         jk_span = prof.phase(PHASE_JK)
         for batch, lo, hi in chunks:
             with eri_span:
                 blocks, counts = _resolve_chunk(
-                    engine, batch, lo, hi, store, cache
+                    engine, batch, lo, hi, store, faults
                 )
             with jk_span:
                 _scatter_chunk(
                     jflat, kflat, density, starts, batch, blocks, lo, hi
                 )
-            for key in totals:
+            for key in _TALLIES:
                 totals[key] += counts[key]
         engine.last_jk_worker_stats = []
     else:
@@ -695,14 +693,12 @@ def jk_from_plan(
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(
                 lambda share: _run_chunks(
-                    engine, density, share, starts, store, cache, size
+                    engine, density, share, starts, store, faults, size
                 ),
                 shares,
             ))
         jflat = np.zeros(size)
         kflat = np.zeros(size)
-        totals = {"computed": 0, "from_store": 0, "from_cache": 0,
-                  "rescued": 0, "crc_rescued": 0}
         for jp, kp, stats in results:
             jflat += jp
             kflat += kp
@@ -712,15 +708,25 @@ def jk_from_plan(
             prof.add_sample(
                 PHASE_JK, stats["jk_wall"], stats["jk_cpu"], stats["calls"]
             )
-            for key in totals:
+            for key in _TALLIES:
                 totals[key] += stats[key]
         engine.last_jk_worker_stats = [stats for (_, _, stats) in results]
 
     engine.quartets_computed += totals["computed"]
-    engine.quartets_served_from_cache += totals["from_cache"]
+    engine.crc_rescues += totals["crc_rescued"]
+    if totals["corrupted"]:
+        engine.scf_faults.quartets_corrupted += totals["corrupted"]
+    if totals["rescued"]:
+        engine.eri_rescues += totals["rescued"]
+        get_metrics().counter(
+            "repro_scf_guard_eri_rescues_total",
+            "non-finite batched ERI blocks recomputed on the reference kernel",
+        ).inc(totals["rescued"])
     if store is not None:
-        engine.quartets_served_from_store += totals["from_store"]
-        engine.crc_rescues += totals["crc_rescued"]
+        if store.path is None:
+            engine.quartets_served_from_cache += totals["from_store"]
+        else:
+            engine.quartets_served_from_store += totals["from_store"]
         if store.filling and store.pending_blocks:
             store.finalize(tau)
     return jflat.reshape(shape), kflat.reshape(shape)
@@ -740,10 +746,10 @@ def jk_for_quartets(
     builders: the quartets are grouped into a throwaway plan and run
     through the same batched sweep + scatter.  The quartet tuples may be
     in any index order: each is first turned to its canonical orientation
-    (as :func:`~repro.integrals.engine.canonical_quartet`), so a list
-    shares classes and pair data with the sequential plan.  The class
-    kernel bypasses the store and LRU layers because worker-side fills
-    would be lost with the forked process anyway.
+    (bra- and ket-sorted, bra >= ket), so a list shares classes and pair
+    data with the sequential plan.  The sweep bypasses the integral
+    store because worker-side fills would be lost with the forked
+    process anyway.
 
     ``slots`` (see :func:`build_class_plan`) return J and K stacked
     ``(nslots, n, n)``; a stacked ``(nslots, n, n)`` ``density`` is read
@@ -759,7 +765,4 @@ def jk_for_quartets(
         slots, nslots,
     )
     del pairs, bra, ket  # the plan holds its own per-class copies
-    return jk_from_plan(
-        engine, density, plan, threads=threads,
-        use_store=False, use_cache=False,
-    )
+    return jk_from_plan(engine, density, plan, threads=threads, use_store=False)

@@ -14,14 +14,15 @@ Engines provided:
   They admit *closed-form* J/K contractions, so distributed Fock builds
   on medium-size systems can be validated exactly without O(n^4) work.
 
-Every engine can additionally carry a bounded LRU cache of *canonical*
-quartet blocks (:class:`QuartetCache`): ERIs are density-independent, so
-direct-SCF iterations after the first can be served transposed views of
-already-computed blocks instead of recomputing them.  The cache sits in
-the shared :meth:`ERIEngine.quartet` dispatch, so every engine passes
-through it unchanged; ``quartets_computed`` keeps counting only *real*
-computations (Table VII call-count benchmarks stay exact) while cache
-service is tallied separately in ``quartets_served_from_cache``.
+Every engine can carry an :class:`~repro.integrals.store.ERIStore` of
+canonical quartet blocks -- on disk (``store=``, conventional SCF) or in
+memory (``cache_mb=``): ERIs are density-independent, so Fock builds
+after the first read blocks back instead of recomputing them.  The
+store sits under the class-plan chunk resolver
+(:func:`repro.integrals.class_batch.jk_from_plan`), which produces every
+block of every engine; ``quartets_computed`` keeps counting only *real*
+computations (Table VII call-count benchmarks stay exact) while store
+service is tallied separately.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.integrals.class_batch import (
-    EIGHT_PERMUTATIONS as _EIGHT_PERMUTATIONS,
-)
-from repro.integrals.class_batch import (
     ClassPlan,
     build_class_plan,
     iter_canonical_quartets,
@@ -46,9 +44,6 @@ from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import ShellPairData, eri_shell_quartet_batched
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 from repro.integrals.store import ERIStore
-from repro.obs import get_metrics
-
-_IDENTITY = (0, 1, 2, 3)
 
 #: bound on memoized class plans per engine (IncrementalFockBuilder
 #: cycles through a handful of effective thresholds per SCF run)
@@ -64,108 +59,6 @@ class NonFiniteERIError(RuntimeError):
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-def canonical_quartet(
-    m: int, n: int, p: int, q: int
-) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """The 8-fold-canonical form of a quartet and the restoring transpose.
-
-    Returns ``(key, perm)`` with ``key`` the canonical (bra-sorted,
-    ket-sorted, bra >= ket) index tuple and ``perm`` the axis permutation
-    such that ``np.transpose(block(key), perm)`` is the requested
-    ``block(m, n, p, q)`` (Eq 4's permutational symmetry).
-    """
-    bra = (m, n) if m >= n else (n, m)
-    ket = (p, q) if p >= q else (q, p)
-    key = bra + ket if bra >= ket else ket + bra
-    for perm in _EIGHT_PERMUTATIONS:
-        if (key[perm[0]], key[perm[1]], key[perm[2]], key[perm[3]]) == (m, n, p, q):
-            return key, perm
-    raise AssertionError("unreachable: canonical orbit must contain the quartet")
-
-
-class QuartetCache:
-    """Bounded LRU cache of canonical ERI quartet blocks.
-
-    Eviction is by total held bytes (``max_bytes``), least recently used
-    first.  Blocks are stored for the canonical index tuple only; all 8
-    permutation images are served as transposed *views* of the one stored
-    array, so callers must treat returned blocks as read-only (every Fock
-    builder in this library does).
-
-    Hit/miss/eviction counts and held bytes are mirrored to the
-    process-wide :mod:`repro.obs` metrics registry
-    (``repro_eri_cache_{hits,misses,evictions}_total`` and the
-    ``repro_eri_cache_bytes`` gauge).
-    """
-
-    def __init__(self, max_bytes: int):
-        if max_bytes <= 0:
-            raise ValueError(f"cache bound must be positive, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self._blocks: OrderedDict[tuple[int, int, int, int], np.ndarray] = (
-            OrderedDict()
-        )
-        self.bytes_held = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def get(self, key: tuple[int, int, int, int]) -> np.ndarray | None:
-        """The cached canonical block, or None (counts a hit/miss)."""
-        block = self._blocks.get(key)
-        if block is None:
-            self.misses += 1
-            get_metrics().counter(
-                "repro_eri_cache_misses_total", "quartet cache misses"
-            ).inc()
-            return None
-        self._blocks.move_to_end(key)
-        self.hits += 1
-        get_metrics().counter(
-            "repro_eri_cache_hits_total", "quartet cache hits"
-        ).inc()
-        return block
-
-    def put(self, key: tuple[int, int, int, int], block: np.ndarray) -> None:
-        """Insert a canonical block, evicting LRU entries past the bound."""
-        if block.nbytes > self.max_bytes:
-            return  # single block exceeds the whole budget: never cacheable
-        self._blocks[key] = block
-        self._blocks.move_to_end(key)
-        self.bytes_held += block.nbytes
-        metrics = get_metrics()
-        while self.bytes_held > self.max_bytes:
-            _, old = self._blocks.popitem(last=False)
-            self.bytes_held -= old.nbytes
-            self.evictions += 1
-            metrics.counter(
-                "repro_eri_cache_evictions_total", "quartet cache evictions"
-            ).inc()
-        metrics.gauge(
-            "repro_eri_cache_bytes", "bytes held by the quartet cache"
-        ).set(self.bytes_held)
-
-    def clear(self) -> None:
-        self._blocks.clear()
-        self.bytes_held = 0
-
-    def stats(self) -> dict:
-        """Snapshot for reports/tests."""
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._blocks),
-            "bytes_held": self.bytes_held,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-
 class ERIEngine(abc.ABC):
     """Interface between integral generation and Fock construction."""
 
@@ -175,35 +68,34 @@ class ERIEngine(abc.ABC):
         cache_mb: float | None = None,
         store: str | Path | ERIStore | None = None,
     ):
+        if cache_mb is not None and store is not None:
+            raise ValueError("cache_mb and store are exclusive: pick one ERI store")
         self.basis = basis
         self._schwarz: np.ndarray | None = None
         #: number of quartet blocks actually computed (used by
-        #: benchmarks/tests; cache service is counted separately)
+        #: benchmarks/tests; store service is counted separately)
         self.quartets_computed = 0
-        #: number of quartet() calls answered from the LRU cache
+        #: number of quartet blocks served by an in-memory store (``cache_mb``)
         self.quartets_served_from_cache = 0
-        #: number of quartet blocks read back from the integral store
+        #: number of quartet blocks read back from an on-disk store
         self.quartets_served_from_store = 0
-        self.quartet_cache: QuartetCache | None = None
-        #: opt-in memory-mapped stored-integral layer (conventional SCF)
+        #: opt-in integral store (conventional SCF), on disk or in memory
         self.integral_store: ERIStore | None = None
-        #: NaN/Inf sentinel on computed blocks (armed by the SCF guard);
+        #: NaN/Inf sentinel on computed chunks (armed by the SCF guard);
         #: off by default so the hot path carries zero extra cost
         self.finite_check = False
-        #: blocks rescued by the per-quartet reference-kernel fallback
+        #: non-finite blocks rescued on the reference kernel
         self.eri_rescues = 0
         #: store blocks that failed their CRC and were recomputed
-        #: (class-batched path; the per-quartet path recomputes via
-        #: ``store.get`` returning None, tallied in the store's own
-        #: ``crc_mismatches``)
         self.crc_rescues = 0
-        #: seeded numerical-corruption hook (the ``scf`` fault family);
-        #: see :class:`repro.runtime.faults.SCFFaultState`
+        #: seeded numerical-corruption hook (the ``scf`` fault family),
+        #: drawn once per build over the class plan; see
+        #: :class:`repro.runtime.faults.SCFFaultState`
         self.scf_faults = None
         #: memoized class-batched execution plans, keyed by tau
         self._class_plans: OrderedDict[float, ClassPlan] = OrderedDict()
         if cache_mb is not None:
-            self.enable_quartet_cache(cache_mb)
+            self.attach_store(ERIStore(None, basis, int(cache_mb * 2**20)))
         if store is not None:
             self.attach_store(store)
 
@@ -213,22 +105,15 @@ class ERIEngine(abc.ABC):
     @abc.abstractmethod
     def _build_schwarz(self) -> np.ndarray: ...
 
-    def enable_quartet_cache(self, max_mb: float = 32.0) -> QuartetCache:
-        """Attach a bounded LRU canonical-quartet cache (``max_mb`` MiB)."""
-        self.quartet_cache = QuartetCache(int(max_mb * 2**20))
-        return self.quartet_cache
-
-    def disable_quartet_cache(self) -> None:
-        self.quartet_cache = None
-
     def attach_store(self, store: str | Path | ERIStore) -> ERIStore:
-        """Layer a memory-mapped integral store under the LRU cache.
+        """Attach an integral store under the chunk resolver.
 
-        Accepts a directory path (an :class:`ERIStore` is created and
-        opened there) or an already-constructed store.  An existing
-        on-disk store is reused only if its manifest fingerprint matches
-        this engine's basis; otherwise it is invalidated (with a
-        warning) and refilled from the next Fock build.
+        Accepts a directory path (an on-disk :class:`ERIStore` is created
+        and opened there) or an already-constructed store, on disk or in
+        memory.  An existing on-disk store is reused only if its
+        manifest fingerprint matches this engine's basis; otherwise it
+        is invalidated (with a warning) and refilled from the next Fock
+        build.
         """
         if not isinstance(store, ERIStore):
             store = ERIStore(store, self.basis)
@@ -272,45 +157,12 @@ class ERIEngine(abc.ABC):
     def quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         """ERI block (MN|PQ) for shell indices, basis-function shape.
 
-        With the quartet cache enabled, blocks are computed for the
-        canonical index tuple only and every permutation image is served
-        as a transposed view -- treat the result as read-only.  An
-        attached ready integral store is consulted between the cache and
-        the kernel; a filling store records every computed canonical
-        block.
+        Counts and computes one block: no store, sentinel or fault
+        hook -- those live in the chunk resolver of
+        :func:`repro.integrals.class_batch.jk_from_plan`.
         """
-        cache = self.quartet_cache
-        store = self.integral_store
-        if cache is None and store is None:
-            self.quartets_computed += 1
-            block = self._quartet(m, n, p, q)
-            # sum-reduction sentinel: any NaN/Inf element makes the sum
-            # non-finite, without materialising a bool array per block
-            if self.finite_check and not np.isfinite(block.sum()):
-                block = self._rescue_quartet(m, n, p, q)
-            return block
-        key, perm = canonical_quartet(m, n, p, q)
-        block = cache.get(key) if cache is not None else None
-        if block is None and store is not None and store.ready:
-            block = store.get(key)
-            if block is not None:
-                self.quartets_served_from_store += 1
-                if cache is not None:
-                    cache.put(key, block)
-        elif block is not None:
-            self.quartets_served_from_cache += 1
-        if block is None:
-            self.quartets_computed += 1
-            block = self._quartet(*key)
-            if self.finite_check and not np.isfinite(block.sum()):
-                block = self._rescue_quartet(*key)
-            if store is not None and store.filling:
-                store.record(key, block)
-            if cache is not None:
-                cache.put(key, block)
-        if perm == _IDENTITY:
-            return block
-        return np.transpose(block, perm)
+        self.quartets_computed += 1
+        return self._quartet(m, n, p, q)
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         """Last resort for a non-finite block; engines without an
@@ -366,16 +218,11 @@ class MDEngine(ERIEngine):
     def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         sh = self.basis.shells
         if self.pair_cache is not None:
-            block = eri_shell_quartet_batched(
+            return eri_shell_quartet_batched(
                 sh[m], sh[n], sh[p], sh[q],
                 bra=self.pair_cache.get(m, n),
                 ket=self.pair_cache.get(p, q),
             )
-            if self.scf_faults is not None:
-                # the scf fault family models a bug in the *fast* kernel:
-                # corruption never touches the reference path below
-                block = self.scf_faults.corrupt_quartet(block, (m, n, p, q))
-            return block
         return eri_shell_quartet(sh[m], sh[n], sh[p], sh[q])
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
@@ -391,11 +238,6 @@ class MDEngine(ERIEngine):
             raise NonFiniteERIError(
                 (m, n, p, q), "reference kernel is non-finite too"
             )
-        self.eri_rescues += 1
-        get_metrics().counter(
-            "repro_scf_guard_eri_rescues_total",
-            "non-finite batched ERI blocks recomputed on the reference kernel",
-        ).inc()
         return block
 
     @property
@@ -415,16 +257,14 @@ class MDEngine(ERIEngine):
         """Permanently fall back to the per-primitive reference kernel.
 
         The guard's last ladder rung: disables the batched kernel, its
-        pair cache, and the class-batched plans, clears the quartet
-        cache, and detaches any integral store (cached and stored blocks
-        may have come from the distrusted fast path).
+        pair cache, and the class-batched plans, and detaches any integral
+        store, in memory or on disk (stored blocks may have come from the
+        distrusted fast path).
         """
         self.batched = False
         self.pair_cache = None
         self._class_plans.clear()
         self.integral_store = None
-        if self.quartet_cache is not None:
-            self.quartet_cache.clear()
 
     def _build_schwarz(self) -> np.ndarray:
         if self.model_schwarz:

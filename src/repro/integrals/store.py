@@ -20,10 +20,18 @@ again on every Fock build.  This module is that storage layer:
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (first Fock build records
 computed blocks) -> ``finalize(tau)`` -> ``ready`` (all later builds read
-only).  The store sits *under* the LRU quartet cache in
-:meth:`repro.integrals.engine.ERIEngine.quartet` and under the
-class-batched chunk resolver, so direct-SCF iterations >= 2 recompute
-zero ERIs (tracked by ``quartets_served_from_store``).
+only).  The store sits under the class-plan chunk resolver
+(:func:`repro.integrals.class_batch.jk_from_plan`), the one place a
+chunk's blocks are produced, so SCF iterations >= 2 recompute zero ERIs
+(tracked by ``quartets_served_from_store``).
+
+In-memory backend: ``ERIStore(None, basis, max_bytes)`` keeps the same
+lifecycle with no directory, lock, manifest or files -- finalize
+installs the sorted blocks in a plain array instead of a memmap.  It is
+what ``cache_mb`` attaches: recording is by whole chunk and stops
+admitting chunks once ``max_bytes`` would be exceeded, so a store
+smaller than the screened set serves the chunks it holds and the rest
+are recomputed every build (tracked by ``quartets_served_from_cache``).
 
 Cross-process safety (service workers share store directories):
 
@@ -43,10 +51,9 @@ whole-file SHA-256 of ``blocks.bin`` (``blocks_sha256``).  With
 block is CRC-checked the *first* time it is served per attach
 (scrub-on-first-read): an intact block is marked verified and skips
 the check on later reads, so the steady-state cost is near zero, while
-a mismatching block is *not* served -- :meth:`get` returns None (the
-engine recomputes the quartet) and :meth:`verify_stacked` flags bad
-rows for the class-batched resolver to recompute -- and is never
-marked verified, so it is re-detected on every read.  The whole-file digest is only checked by the
+a mismatching block is *not* served -- :meth:`verify_stacked` flags
+bad rows for the chunk resolver to recompute -- and is never marked
+verified, so it is re-detected on every read.  The whole-file digest is only checked by the
 offline ``repro verify`` audit, keeping attach cheap.  A manifest with
 a different store format version is invalidated with
 :class:`StoreInvalidatedWarning` and refilled cleanly.  Threat model
@@ -107,16 +114,25 @@ class StoreInvalidatedWarning(UserWarning):
 
 
 class ERIStore:
-    """On-disk store of canonical screened ERI quartet blocks.
+    """Store of canonical screened ERI quartet blocks, on disk or in memory.
 
-    States: ``filling`` (accepting :meth:`record` / :meth:`record_batch`)
-    and ``ready`` (memory-mapped, read-only).  ``generation`` increments
-    whenever the readable content changes, so callers can memoize
-    offset resolutions against it.
+    States: ``filling`` (accepting :meth:`record_batch`) and ``ready``
+    (read-only).  ``generation`` increments whenever the readable
+    content changes, so callers can memoize offset resolutions against
+    it.  ``path=None`` selects the in-memory backend, optionally bounded
+    to ``max_bytes`` of block data.
     """
 
-    def __init__(self, path: str | Path, basis: BasisSet):
-        self.path = Path(path)
+    def __init__(
+        self,
+        path: str | Path | None,
+        basis: BasisSet,
+        max_bytes: int | None = None,
+    ):
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError(f"store bound must be positive, got {max_bytes}")
+        self.path = None if path is None else Path(path)
+        self.max_bytes = max_bytes
         self.basis = basis
         self.fingerprint = basis_fingerprint(basis)
         self.manifest: dict | None = None
@@ -127,12 +143,14 @@ class ERIStore:
         self._offsets: np.ndarray | None = None  # element offsets, key order
         self._crcs: np.ndarray | None = None  # per-block CRC-32, key order
         self._verified: np.ndarray | None = None  # scrub-on-first-read marks
-        self._flat: np.memmap | None = None
+        self._flat: np.ndarray | None = None  # memmap on disk
         #: CRC-check every block on first read (armed by ``integrity=``)
         self.verify_reads = False
         self.crc_checks = 0
         self.crc_mismatches = 0
-        self._pending: dict[int, np.ndarray] = {}  # packed key -> flat block
+        #: recorded chunks: (packed keys, (nrows, block size) blocks)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_bytes = 0
         self._lock = threading.Lock()
         self._flock_depth = 0
         self._nshells = len(basis.shells)
@@ -166,10 +184,6 @@ class ERIStore:
 
     # -- key packing --------------------------------------------------------
 
-    def pack(self, m: int, n: int, p: int, q: int) -> int:
-        s = self._nshells
-        return ((m * s + n) * s + p) * s + q
-
     def pack_rows(self, quartets: np.ndarray) -> np.ndarray:
         s = self._nshells
         q = np.asarray(quartets, dtype=np.int64)
@@ -183,8 +197,12 @@ class ERIStore:
         An existing store whose manifest fingerprint does not match the
         current basis is *invalidated*: its files are removed, a
         :class:`StoreInvalidatedWarning` is emitted, and the store drops
-        back to the filling state.
+        back to the filling state.  An in-memory store just starts
+        filling.
         """
+        if self.path is None:
+            self.filling = True
+            return self
         self.path.mkdir(parents=True, exist_ok=True)
         with self._disk_lock():
             if (self.path / _MANIFEST).exists():
@@ -225,12 +243,18 @@ class ERIStore:
 
     def _attach(self, manifest: dict) -> None:
         with np.load(self.path / _INDEX) as idx:
-            self._keys = idx["keys"]
-            self._offsets = idx["offsets"]
-            self._crcs = idx["crcs"]
-        self._verified = np.zeros(self._crcs.size, dtype=bool)
-        self._flat = np.memmap(self.path / _BLOCKS, dtype=np.float64, mode="r")
+            keys, offsets, crcs = idx["keys"], idx["offsets"], idx["crcs"]
+        flat = np.memmap(self.path / _BLOCKS, dtype=np.float64, mode="r")
+        self._serve(keys, offsets, crcs, flat)
         self.manifest = manifest
+
+    def _serve(self, keys, offsets, crcs, flat) -> None:
+        """Switch to ready, serving ``flat`` through the sorted index."""
+        self._keys = keys
+        self._offsets = offsets
+        self._crcs = crcs
+        self._verified = np.zeros(crcs.size, dtype=bool)
+        self._flat = flat
         self.ready = True
         self.filling = False
         self.generation += 1
@@ -260,24 +284,21 @@ class ERIStore:
         self.ready = False
         self.filling = True
         self._pending.clear()
+        self._pending_bytes = 0
         self.generation += 1
 
     # -- filling ------------------------------------------------------------
 
     @property
     def pending_blocks(self) -> int:
-        return len(self._pending)
-
-    def record(self, key: tuple[int, int, int, int], block: np.ndarray) -> None:
-        """Record one canonical block while filling (thread-safe)."""
-        if not self.filling:
-            return
-        flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
-        with self._lock:
-            self._pending.setdefault(self.pack(*key), flat)
+        return sum(len(keys) for keys, _ in self._pending)
 
     def record_batch(self, quartets: np.ndarray, blocks: np.ndarray) -> None:
-        """Record a stacked chunk of canonical blocks while filling."""
+        """Record a stacked chunk of canonical blocks while filling.
+
+        Thread-safe.  A bounded store takes whole chunks only: a chunk
+        that would push the held bytes past ``max_bytes`` is skipped.
+        """
         if not self.filling:
             return
         keys = self.pack_rows(quartets)
@@ -285,64 +306,78 @@ class ERIStore:
             len(keys), -1
         )
         with self._lock:
-            for i, key in enumerate(keys):
-                self._pending.setdefault(int(key), flat[i].copy())
+            if (
+                self.max_bytes is not None
+                and self._pending_bytes + flat.nbytes > self.max_bytes
+            ):
+                return
+            self._pending.append((keys, flat))
+            self._pending_bytes += flat.nbytes
 
     def finalize(self, tau: float | None = None) -> None:
-        """Write pending blocks to disk and switch to the ready state.
+        """Install the pending blocks and switch to the ready state.
 
-        Publication is atomic and ordered: ``blocks.bin`` and
-        ``index.npz`` are staged as ``*.tmp`` and ``os.replace``'d into
-        place first; ``manifest.json`` goes last.  A process killed at
-        any point mid-finalize therefore leaves either no manifest
+        A disk store publishes atomically and in order: ``blocks.bin``
+        and ``index.npz`` are staged as ``*.tmp`` and ``os.replace``'d
+        into place first; ``manifest.json`` goes last.  A process killed
+        at any point mid-finalize therefore leaves either no manifest
         (``open_or_fill`` refills from scratch) or a complete store --
         never a manifest pointing at partial data.
         """
         with self._lock:
             if not self.filling or not self._pending:
                 return
-            items = sorted(self._pending.items())
-            keys = np.array([k for k, _ in items], dtype=np.int64)
-            sizes = np.array([b.size for _, b in items], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            flat = np.concatenate([b for _, b in items])
-            self.path.mkdir(parents=True, exist_ok=True)
-            with self._disk_lock():
-                # another process may have finalized while this one was
-                # still filling: attach to its store, don't clobber it
-                existing = self._load_valid_manifest()
-                if existing is not None:
-                    self._pending.clear()
-                    self._attach(existing)
-                    return
-                crcs = np.array(
-                    [block_crc(b) for _, b in items], dtype=np.uint32
-                )
-                tmp_blocks = self.path / (_BLOCKS + ".tmp")
-                flat.tofile(tmp_blocks)
-                os.replace(tmp_blocks, self.path / _BLOCKS)
-                tmp_index = self.path / (_INDEX + ".tmp")
-                with open(tmp_index, "wb") as fh:
-                    np.savez(fh, keys=keys, offsets=offsets, sizes=sizes,
-                             crcs=crcs)
-                os.replace(tmp_index, self.path / _INDEX)
-                manifest = {
-                    "version": STORE_VERSION,
-                    "basis_sha256": self.fingerprint,
-                    "blocks_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
-                    "basis_name": self.basis.name,
-                    "tau": None if tau is None else float(tau),
-                    "nbf": int(self.basis.nbf),
-                    "nshells": self._nshells,
-                    "nblocks": int(keys.size),
-                    "nelements": int(flat.size),
-                    "created": datetime.now(timezone.utc).isoformat(),
-                }
-                tmp_manifest = self.path / (_MANIFEST + ".tmp")
-                tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
-                os.replace(tmp_manifest, self.path / _MANIFEST)
-                self._pending.clear()
-                self._attach(manifest)
+            # sorted by packed key; a key recorded twice keeps its first block
+            keys, first = np.unique(
+                np.concatenate([k for k, _ in self._pending]), return_index=True
+            )
+            rows = [row for _, flat in self._pending for row in flat]
+            rows = [rows[i] for i in first]
+            sizes = np.array([r.size for r in rows], dtype=np.int64)
+            offsets = np.cumsum(sizes) - sizes
+            flat = np.concatenate(rows)
+            crcs = np.array([block_crc(r) for r in rows], dtype=np.uint32)
+            if self.path is None:
+                self._serve(keys, offsets, crcs, flat)
+            else:
+                self._publish(keys, offsets, sizes, crcs, flat, tau)
+            self._pending.clear()
+            self._pending_bytes = 0
+
+    def _publish(self, keys, offsets, sizes, crcs, flat, tau) -> None:
+        """Write a disk store's files (manifest last) and attach to them."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        with self._disk_lock():
+            # another process may have finalized while this one was
+            # still filling: attach to its store, don't clobber it
+            existing = self._load_valid_manifest()
+            if existing is not None:
+                self._attach(existing)
+                return
+            tmp_blocks = self.path / (_BLOCKS + ".tmp")
+            flat.tofile(tmp_blocks)
+            os.replace(tmp_blocks, self.path / _BLOCKS)
+            tmp_index = self.path / (_INDEX + ".tmp")
+            with open(tmp_index, "wb") as fh:
+                np.savez(fh, keys=keys, offsets=offsets, sizes=sizes,
+                         crcs=crcs)
+            os.replace(tmp_index, self.path / _INDEX)
+            manifest = {
+                "version": STORE_VERSION,
+                "basis_sha256": self.fingerprint,
+                "blocks_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
+                "basis_name": self.basis.name,
+                "tau": None if tau is None else float(tau),
+                "nbf": int(self.basis.nbf),
+                "nshells": self._nshells,
+                "nblocks": int(keys.size),
+                "nelements": int(flat.size),
+                "created": datetime.now(timezone.utc).isoformat(),
+            }
+            tmp_manifest = self.path / (_MANIFEST + ".tmp")
+            tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
+            os.replace(tmp_manifest, self.path / _MANIFEST)
+            self._attach(manifest)
 
     # -- reading ------------------------------------------------------------
 
@@ -352,7 +387,8 @@ class ERIStore:
 
     @property
     def nbytes(self) -> int:
-        return 0 if self._flat is None else int(self._flat.size * 8)
+        """Bytes of block data held: pending while filling, served once ready."""
+        return self._pending_bytes if self._flat is None else int(self._flat.nbytes)
 
     def offsets_for(self, quartets: np.ndarray) -> np.ndarray | None:
         """Element offsets for quartet rows; -1 where a key is missing."""
@@ -381,8 +417,8 @@ class ERIStore:
         offset maps back to its key position by binary search.  Blocks
         already scrubbed this attach skip the CRC; intact blocks are
         marked scrubbed; a mismatch never is, so corruption stays
-        visible on every read.  The class-batched resolver recomputes
-        the rows flagged False.
+        visible on every read.  The chunk resolver recomputes the rows
+        flagged False.
         """
         pos = np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
         good = np.ones(len(offsets), dtype=bool)
@@ -398,37 +434,10 @@ class ERIStore:
             self.crc_mismatches += int((~good).sum())
         return good
 
-    def get(self, key: tuple[int, int, int, int]) -> np.ndarray | None:
-        """One canonical block (basis-function shape), or None if absent.
-
-        With ``verify_reads`` armed, a block whose bytes fail the CRC
-        recorded at finalize is *not* served: the method returns None
-        and the engine recomputes the quartet -- silent corruption in
-        the memmap becomes a counted recompute instead of a wrong F.
-        """
-        if not self.ready:
-            return None
-        packed = self.pack(*key)
-        pos = int(np.searchsorted(self._keys, packed))
-        if pos >= self._keys.size or self._keys[pos] != packed:
-            return None
-        shells = self.basis.shells
-        shape = tuple(shells[s].nbf for s in key)
-        off = int(self._offsets[pos])
-        size = int(np.prod(shape))
-        block = np.asarray(self._flat[off:off + size])
-        if self.verify_reads and not self._verified[pos]:
-            self.crc_checks += 1
-            if block_crc(block) != int(self._crcs[pos]):
-                self.crc_mismatches += 1
-                return None
-            self._verified[pos] = True
-        return block.reshape(shape)
-
     def stats(self) -> dict:
         """Snapshot for reports/tests."""
         return {
-            "path": str(self.path),
+            "path": None if self.path is None else str(self.path),
             "ready": self.ready,
             "filling": self.filling,
             "nblocks": self.nblocks,

@@ -250,9 +250,10 @@ class SCFFaultPlan:
     convergence guard (:mod:`repro.scf.guard`) must detect and rescue
     every corruption -- that is the ``repro chaos --family scf`` gate.
 
-    Corruption only targets the *batched* ERI path, never the reference
-    per-primitive kernel, so the guard's ``reference_eri`` fallback (and
-    the per-quartet rescue) genuinely repairs the build.
+    Corruption only targets blocks computed by the class-batched ERI
+    kernel, never the reference per-primitive kernel, so the guard's
+    ``reference_eri`` fallback (and the sentinel's per-row rescue)
+    genuinely repairs the build.
 
     Parameters
     ----------
@@ -260,7 +261,8 @@ class SCFFaultPlan:
         Seed of the generator behind every corruption draw.
     quartet_nan_rate / quartet_inf_rate:
         Per-quartet-block probability that the batched ERI result is
-        corrupted with NaN (resp. +Inf) in one random element.
+        corrupted with NaN (resp. +Inf) in one random element, drawn
+        once per Fock build over the class plan's rows.
     fock_nan_iterations / density_nan_iterations:
         SCF iteration numbers (1-based) at which one element of the
         freshly built Fock (resp. density) matrix is replaced by NaN.
@@ -344,27 +346,33 @@ class SCFFaultState:
         total = self.quartets_corrupted + self.matrices_corrupted
         return cap == 0 or total < cap
 
-    def corrupt_quartet(
-        self, block: np.ndarray, quartet: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        """Maybe corrupt one batched ERI block; returns the block to use.
+    def draw_quartet_faults(
+        self, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One Fock build's block corruptions, drawn in one vectorized pass.
 
-        The draw consumes the rng whether or not corruption fires, so a
-        faulted run is reproducible from the plan's seed alone.
+        ``sizes`` holds the element count of every block of the build's
+        class plan, in plan order.  Returns ``(value, element)`` per
+        block: the NaN/Inf to plant at flat index ``element``, with
+        ``value`` 0.0 for a block left clean.  The draws depend only on
+        the seed and the plan -- never on which thread computes a block
+        -- and the ``max_corruptions`` budget keeps the first firing
+        blocks in plan order.  The caller adds the corruptions it
+        actually planted to ``quartets_corrupted``.
         """
         p = self.plan
+        value = np.zeros(sizes.size)
+        elem = np.zeros(sizes.size, dtype=np.int64)
         if not (p.quartet_nan_rate or p.quartet_inf_rate):
-            return block
-        draw = self.rng.random()
-        if draw >= p.quartet_nan_rate + p.quartet_inf_rate:
-            return block
-        if block.size == 0 or not self._budget_left():
-            return block
-        value = np.nan if draw < p.quartet_nan_rate else np.inf
-        flat = np.array(block, dtype=float).reshape(-1)
-        flat[int(self.rng.integers(flat.size))] = value
-        self.quartets_corrupted += 1
-        return flat.reshape(block.shape)
+            return value, elem
+        draw = self.rng.random(sizes.size)
+        fire = np.flatnonzero(draw < p.quartet_nan_rate + p.quartet_inf_rate)
+        if p.max_corruptions:
+            spent = self.quartets_corrupted + self.matrices_corrupted
+            fire = fire[:max(0, p.max_corruptions - spent)]
+        value[fire] = np.where(draw[fire] < p.quartet_nan_rate, np.nan, np.inf)
+        elem[fire] = self.rng.integers(sizes[fire])
+        return value, elem
 
     def corrupt_matrix(
         self, a: np.ndarray, iteration: int, which: str

@@ -24,8 +24,6 @@ from repro.scf.fock import (
     canonical_shell_quartets,
     fock_matrix,
     hf_electronic_energy,
-    orbit_images,
-    scatter_quartet,
 )
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
 from repro.scf.hf import RHF, SCFResult
@@ -80,8 +78,6 @@ __all__ = [
     "canonical_shell_quartets",
     "fock_matrix",
     "hf_electronic_energy",
-    "orbit_images",
-    "scatter_quartet",
     "core_guess",
     "gwh_guess",
     "zero_guess",

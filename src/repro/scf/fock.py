@@ -1,16 +1,18 @@
 """Sequential reference Fock construction.
 
 This is the single-process "ground truth" every distributed builder in
-:mod:`repro.fock` is validated against: it enumerates *canonical* shell
-quartets (8-fold-unique, Cauchy-Schwarz screened), scatters each computed
+:mod:`repro.fock` is validated against: it contracts the *canonical*
+(8-fold-unique, Cauchy-Schwarz screened) shell quartets, scattering each
 block to all of its permutation images, and assembles
 
 ``F = H^core + 2J - K``          (Eq 3 of the paper).
 
-The distributed builders contract through the same class-batched
-scatter (:func:`repro.integrals.class_batch.jk_for_quartets`) as this
-build's default path, so numeric equality is a test of *task coverage
-and data movement*, not of contraction formulas.
+Every engine takes one route, the class plan
+(:func:`repro.integrals.class_batch.jk_from_plan`), and the distributed
+builders contract through the same scatter
+(:func:`repro.integrals.class_batch.jk_for_quartets`), so numeric
+equality is a test of *task coverage and data movement*, not of
+contraction formulas.
 """
 
 from __future__ import annotations
@@ -19,50 +21,16 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.chem.basis.basisset import BasisSet
-from repro.integrals.class_batch import (
-    EIGHT_PERMUTATIONS,
-    iter_canonical_quartets,
-    jk_from_plan,
-    uses_class_kernel,
-)
+from repro.integrals.class_batch import iter_canonical_quartets, jk_from_plan
 from repro.integrals.engine import ERIEngine
-from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
 from repro.util.validation import check_symmetric
 
 __all__ = [
-    "EIGHT_PERMUTATIONS",
-    "orbit_images",
     "canonical_shell_quartets",
-    "scatter_quartet",
     "build_jk",
     "fock_matrix",
     "hf_electronic_energy",
 ]
-
-
-def orbit_images(
-    quartet: tuple[int, int, int, int], block: np.ndarray
-) -> Iterator[tuple[tuple[int, int, int, int], np.ndarray]]:
-    """Distinct shell-tuple images of a quartet with matching block transposes.
-
-    Yields each *distinct* (a, b, c, d) shell tuple in the permutational
-    orbit of ``quartet``, paired with the correspondingly transposed
-    integral block.  Deduplication by shell tuple is what makes
-    coincident-index quartets (e.g. (MM|PQ)) contribute exactly once.
-    """
-    seen: set[tuple[int, int, int, int]] = set()
-    for perm in EIGHT_PERMUTATIONS:
-        target = (
-            quartet[perm[0]],
-            quartet[perm[1]],
-            quartet[perm[2]],
-            quartet[perm[3]],
-        )
-        if target in seen:
-            continue
-        seen.add(target)
-        yield target, np.transpose(block, perm)
 
 
 def canonical_shell_quartets(
@@ -78,28 +46,6 @@ def canonical_shell_quartets(
     return iter_canonical_quartets(sigma, tau)
 
 
-def scatter_quartet(
-    j: np.ndarray,
-    k: np.ndarray,
-    density: np.ndarray,
-    basis: BasisSet,
-    quartet: tuple[int, int, int, int],
-    block: np.ndarray,
-) -> None:
-    """Accumulate one computed quartet into J and K (full-matrix buffers).
-
-    For every distinct image (a,b|c,d) of the quartet::
-
-        J[a,b] += sum_cd (ab|cd) D[c,d]
-        K[a,c] += sum_bd (ab|cd) D[b,d]
-    """
-    slices = basis.shell_slices
-    for (a, b, c, d), blk in orbit_images(quartet, block):
-        sa, sb, sc, sd = slices[a], slices[b], slices[c], slices[d]
-        j[sa, sb] += np.einsum("abcd,cd->ab", blk, density[sc, sd])
-        k[sa, sc] += np.einsum("abcd,bd->ac", blk, density[sb, sd])
-
-
 def build_jk(
     engine: ERIEngine,
     density: np.ndarray,
@@ -108,13 +54,12 @@ def build_jk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coulomb and exchange matrices over the screened canonical quartets.
 
-    Engines that support it take the cross-quartet *class-batched* path
-    (:mod:`repro.integrals.class_batch`): one vectorized kernel sweep and
-    one batched density contraction per angular-momentum class, optionally
-    threaded.  Everything else -- and any engine carrying seeded ``scf``
-    fault injection, whose corruption stream is defined by per-quartet
-    call order -- walks the original per-quartet loop, which produces
-    identical J/K up to floating-point summation order.
+    One call for every engine: the memoized class plan at ``tau`` runs
+    through :func:`~repro.integrals.class_batch.jk_from_plan`, whose
+    chunk resolver serves blocks from an attached integral store or
+    computes them (the class-batched kernel where the engine supports
+    it, else its own quartet kernel), applies seeded ``scf`` faults and
+    the NaN/Inf sentinel, and contracts one batch at a time.
 
     Parameters
     ----------
@@ -125,33 +70,13 @@ def build_jk(
     tau:
         Cauchy-Schwarz drop tolerance (the paper uses 1e-10).
     threads:
-        Worker threads for the class-batched contraction (``None`` reads
-        ``REPRO_JK_THREADS``, default 1; ignored on the per-quartet path).
+        Worker threads for the contraction (``None`` reads
+        ``REPRO_JK_THREADS``, default 1).
     """
-    basis = engine.basis
     check_symmetric(density, "density", tol=1e-8)
-    if uses_class_kernel(engine):
-        return jk_from_plan(
-            engine, density, engine.class_plan(tau), tau=tau, threads=threads
-        )
-    n = basis.nbf
-    j = np.zeros((n, n))
-    k = np.zeros((n, n))
-    sigma = engine.schwarz()
-    # spans are hoisted out of the loop: this is the repo's hottest path
-    # and the probes are gated at <= 5% overhead when profiling is on
-    prof = get_profiler()
-    eri_span = prof.phase(PHASE_ERI)
-    jk_span = prof.phase(PHASE_JK)
-    for quartet in canonical_shell_quartets(sigma, tau):
-        with eri_span:
-            block = engine.quartet(*quartet)
-        with jk_span:
-            scatter_quartet(j, k, density, basis, quartet, block)
-    store = getattr(engine, "integral_store", None)
-    if store is not None and store.filling and store.pending_blocks:
-        store.finalize(tau)
-    return j, k
+    return jk_from_plan(
+        engine, density, engine.class_plan(tau), tau=tau, threads=threads
+    )
 
 
 def fock_matrix(

@@ -181,9 +181,9 @@ class GuardConfig:
         The window counts as flat (``stagnating``) when its smallest
         density change exceeds this fraction of its largest.
     eri_sentinel:
-        Arm the per-quartet NaN/Inf sentinel on the ERI engine
-        (non-finite batched blocks are recomputed on the reference
-        kernel; see ``ERIEngine.finite_check``).
+        Arm the NaN/Inf sentinel on every computed ERI chunk
+        (non-finite rows are recomputed on the reference kernel; see
+        ``ERIEngine.finite_check``).
     ladder:
         The remediation rungs, mildest first.
     """

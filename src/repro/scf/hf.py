@@ -18,6 +18,7 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
+from repro.integrals.store import ERIStore
 from repro.obs import get_metrics, get_tracer
 from repro.obs.manifest import get_ledger
 from repro.obs.profile import (
@@ -96,10 +97,12 @@ class RHF:
         (:class:`~repro.scf.incremental.IncrementalFockBuilder`): late
         iterations screen away almost all quartets.
     cache_mb:
-        When set, enable the engine's bounded LRU canonical-quartet
-        cache with this memory budget (MiB): ERIs are density
-        independent, so every direct-SCF iteration after the first
-        serves its quartets from the cache instead of recomputing them.
+        When set, attach an in-memory integral store
+        (:class:`~repro.integrals.store.ERIStore` with no directory)
+        bounded to this many MiB: the first Fock build records whole
+        chunks until the bound is reached, and every later build serves
+        those chunks instead of recomputing them.  Exclusive with
+        ``integral_store``.
     integral_store:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
@@ -205,10 +208,15 @@ class RHF:
         )
         if self.engine is None:
             self.engine = MDEngine(self.basis)
-        if self.cache_mb is not None and self.engine.quartet_cache is None:
-            self.engine.enable_quartet_cache(self.cache_mb)
-        if self.integral_store is not None and self.engine.integral_store is None:
-            self.engine.attach_store(self.integral_store)
+        if self.cache_mb is not None and self.integral_store is not None:
+            raise ValueError(
+                "cache_mb and integral_store are exclusive: pick one ERI store"
+            )
+        store = self.integral_store
+        if self.cache_mb is not None:
+            store = ERIStore(None, self.basis, int(self.cache_mb * 2**20))
+        if store is not None and self.engine.integral_store is None:
+            self.engine.attach_store(store)
         store = self.engine.integral_store
         self._store_warm_at_start = bool(store is not None and store.ready)
         self.nocc = self.molecule.nelectrons // 2

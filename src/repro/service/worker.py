@@ -27,7 +27,7 @@ Crash-tolerance mechanics:
   back and discards its result -- a job is never recorded-as-done twice.
 * **Graceful degradation.**  A ``MemoryError`` retry re-enqueues the job
   with a degraded spec (:func:`degrade_spec`): first the threaded J/K
-  is dropped to serial, then the ERI cache is released.
+  is dropped to serial, then the in-memory ERI store is released.
 * **Clean teardown.**  SIGTERM (supervisor timeout or shutdown)
   terminates registered multiprocessing pools
   (:func:`repro.parallel.mp_fock.shutdown_active_pools`), interrupts
@@ -74,7 +74,7 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
 
     Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
     is left to shed.  Ladder: threaded J/K -> serial, then drop the
-    ERI quartet cache.
+    in-memory ERI store (``cache_mb``).
     """
     if spec.get("jk_threads") and int(spec["jk_threads"]) > 1:
         new = dict(spec)

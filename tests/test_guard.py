@@ -30,6 +30,7 @@ from repro.scf.guard import (
     Rung,
     SCFGuard,
 )
+from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
 from repro.scf.orthogonalization import (
     LinearDependenceWarning,
@@ -316,16 +317,57 @@ class TestOrthogonalizerHardening:
             orthogonalizer_info(s)
 
 
+def _faulted(engine):
+    engine.finite_check = True
+    engine.scf_faults = SCFFaultPlan(seed=3, quartet_nan_rate=0.1).activate()
+    return engine
+
+
 class TestERIFaultSeam:
-    def test_sentinel_rescues_corrupted_batched_block(self, water_basis):
+    def test_sentinel_rescues_corrupted_batched_block(
+        self, water_basis, water_matrices
+    ):
+        d = water_matrices[3]
         engine = MDEngine(water_basis)
         engine.finite_check = True
         engine.scf_faults = SCFFaultPlan(
             seed=0, quartet_nan_rate=1.0
         ).activate()
-        block = engine.quartet(0, 0, 0, 0)
-        assert np.isfinite(block).all()
+        j, k = build_jk(engine, d)
+        assert np.isfinite(j).all() and np.isfinite(k).all()
         assert engine.eri_rescues >= 1
+        # the tally reaches the engine from the resolver: one rescue per
+        # corrupted block, no double count
+        assert engine.eri_rescues == engine.scf_faults.quartets_corrupted
+        j_ref, k_ref = build_jk(MDEngine(water_basis), d)
+        assert np.abs(j - j_ref).max() <= 1e-12
+        assert np.abs(k - k_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda b: OSEngine(b),
+        lambda b: _faulted(MDEngine(b)),
+    ])
+    def test_jk_threads_honoured_on_every_route(
+        self, water_basis, water_matrices, make
+    ):
+        """``threads=2`` splits the chunk list across two workers for
+        engines without the class kernel and for faulted engines too."""
+        engine = make(water_basis)
+        build_jk(engine, water_matrices[3], threads=2)
+        assert len(engine.last_jk_worker_stats) == 2
+
+    def test_faulted_run_reproducible_at_any_thread_count(self):
+        """Fault draws are made once per build over the class plan, so
+        a seeded run corrupts the same blocks at 1 and 2 threads."""
+        plan = SCFFaultPlan(seed=11, quartet_nan_rate=0.02, quartet_inf_rate=0.02)
+        runs = []
+        for threads in (1, 2):
+            rhf = RHF(water(), guard=True, faults=plan, jk_threads=threads)
+            res = rhf.run()
+            assert res.converged
+            runs.append((rhf.engine.scf_faults.quartets_corrupted, res.energy))
+        assert runs[0][0] == runs[1][0] > 0
+        assert abs(runs[0][1] - runs[1][1]) <= 1e-12
 
     def test_engine_without_reference_path_raises(self, water_basis):
         engine = OSEngine(water_basis)

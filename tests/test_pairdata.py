@@ -1,5 +1,5 @@
 """Tests for shell-pair data caching, the batched ERI kernel, and the
-bounded LRU canonical-quartet cache."""
+byte-bounded in-memory ERI store behind ``cache_mb``."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from repro.chem.builders import water
 from repro.integrals.engine import (
     MDEngine,
     OSEngine,
-    QuartetCache,
     SyntheticERIEngine,
-    canonical_quartet,
 )
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
@@ -23,7 +21,8 @@ from repro.integrals.pairdata import (
     build_pair_data,
     eri_shell_quartet_batched,
 )
-from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.integrals.store import ERIStore
+from repro.scf.fock import build_jk
 
 
 def rand_shell(rng, l, pure=False):
@@ -109,92 +108,23 @@ class TestShellPairData:
             )
 
 
-class TestCanonicalQuartet:
-    @given(st.tuples(*(st.integers(0, 6),) * 4))
-    @settings(max_examples=100, deadline=None)
-    def test_key_is_canonical_and_perm_restores(self, quartet):
-        m, n, p, q = quartet
-        key, perm = canonical_quartet(m, n, p, q)
-        assert key[0] >= key[1] and key[2] >= key[3]
-        assert (key[0], key[1]) >= (key[2], key[3])
-        assert tuple(key[i] for i in perm) == quartet
-        # all 8 orbit members share one canonical key
-        for image in ((n, m, p, q), (m, n, q, p), (p, q, m, n), (q, p, n, m)):
-            assert canonical_quartet(*image)[0] == key
-
-    def test_served_transposes_match_direct_computation(self, water_basis):
-        cached = MDEngine(water_basis, cache_mb=8.0)
-        direct = MDEngine(water_basis)
-        m, n, p, q = 4, 1, 3, 0
-        cached.quartet(*canonical_quartet(m, n, p, q)[0])  # prime the cache
-        for image in (
-            (m, n, p, q), (n, m, p, q), (m, n, q, p), (n, m, q, p),
-            (p, q, m, n), (q, p, m, n), (p, q, n, m), (q, p, n, m),
-        ):
-            served = cached.quartet(*image)
-            assert np.allclose(served, direct.quartet(*image), atol=1e-13)
-        assert cached.quartets_computed == 1
-        assert cached.quartets_served_from_cache == 8
-
-
 class TestQuartetCacheLRU:
-    def test_byte_bound_and_eviction_order(self):
-        block = np.zeros((4, 4, 4, 4))  # 2048 bytes
-        cache = QuartetCache(max_bytes=3 * block.nbytes)
-        for i in range(3):
-            cache.put((i, 0, 0, 0), block.copy())
-        assert len(cache) == 3
-        cache.get((0, 0, 0, 0))  # refresh entry 0: entry 1 becomes LRU
-        cache.put((3, 0, 0, 0), block.copy())
-        assert cache.get((1, 0, 0, 0)) is None  # evicted
-        assert cache.get((0, 0, 0, 0)) is not None
-        assert cache.evictions == 1
-        assert cache.bytes_held <= cache.max_bytes
+    """``cache_mb`` is an in-memory :class:`ERIStore`: a byte bound on
+    whole recorded chunks instead of an LRU of single blocks."""
 
-    def test_oversized_block_is_not_cached(self):
-        cache = QuartetCache(max_bytes=100)
-        cache.put((0, 0, 0, 0), np.zeros(1000))
-        assert len(cache) == 0
-        assert cache.bytes_held == 0
+    def test_oversized_block_is_not_cached(self, water_basis):
+        store = ERIStore(None, water_basis, max_bytes=100).open_or_fill()
+        store.record_batch(np.zeros((1, 4), np.int64), np.zeros((1, 1000)))
+        assert store.pending_blocks == 0
+        assert store.nbytes == 0
 
-    def test_rejects_nonpositive_bound(self):
+    def test_rejects_nonpositive_bound(self, water_basis):
         with pytest.raises(ValueError):
-            QuartetCache(max_bytes=0)
-
-    def test_stats_and_clear(self):
-        cache = QuartetCache(max_bytes=10_000)
-        cache.put((0, 0, 0, 0), np.zeros(4))
-        cache.get((0, 0, 0, 0))
-        cache.get((1, 1, 1, 1))
-        st_ = cache.stats()
-        assert st_["hits"] == 1 and st_["misses"] == 1
-        assert st_["hit_rate"] == 0.5
-        assert st_["bytes_held"] == 32
-        cache.clear()
-        assert len(cache) == 0 and cache.bytes_held == 0
-
-
-class TestCacheMetrics:
-    def test_obs_counters_track_cache_traffic(self, water_basis):
-        previous = set_metrics(MetricsRegistry())
-        try:
-            eng = MDEngine(water_basis, cache_mb=8.0)
-            eng.quartet(2, 1, 1, 0)
-            eng.quartet(2, 1, 1, 0)
-            eng.quartet(1, 2, 0, 1)  # permutation image: same canonical block
-            reg = get_metrics()
-            assert reg.counter("repro_eri_cache_misses_total").value() == 1
-            assert reg.counter("repro_eri_cache_hits_total").value() == 2
-            assert (
-                reg.gauge("repro_eri_cache_bytes").value()
-                == eng.quartet_cache.bytes_held
-            )
-        finally:
-            set_metrics(previous)
+            ERIStore(None, water_basis, max_bytes=0)
 
 
 class TestEnginesThroughCacheLayer:
-    """OSEngine / SyntheticERIEngine pass through the cache layer unchanged,
+    """OSEngine / SyntheticERIEngine pass through the store layer unchanged,
     and the computed/served split keeps call-count benchmarks exact."""
 
     def test_counters_without_cache_match_seed_semantics(self, water_basis):
@@ -211,19 +141,18 @@ class TestEnginesThroughCacheLayer:
     def test_cached_engine_serves_identical_blocks(self, water_basis, factory):
         plain = factory(water_basis)
         cached = factory(water_basis)
-        cached.enable_quartet_cache(8.0)
+        cached.attach_store(ERIStore(None, water_basis, 8 * 2**20))
         rng = np.random.default_rng(6)
-        quartets = [tuple(int(i) for i in rng.integers(0, water_basis.nshells, 4))
-                    for _ in range(6)]
-        for quartet in quartets + quartets:  # second sweep hits the cache
-            assert np.allclose(
-                cached.quartet(*quartet), plain.quartet(*quartet), atol=1e-13
-            )
-        assert cached.quartets_served_from_cache >= len(quartets)
-        assert (
-            cached.quartets_computed + cached.quartets_served_from_cache
-            == 2 * len(quartets)
-        )
+        d = rng.normal(size=(water_basis.nbf,) * 2)
+        d = (d + d.T) / 2.0
+        nq = cached.class_plan(1e-11).nquartets
+        j_ref, k_ref = build_jk(plain, d)
+        for _ in range(2):  # the second build is served by the store
+            j, k = build_jk(cached, d)
+            assert np.allclose(j, j_ref, atol=1e-13)
+            assert np.allclose(k, k_ref, atol=1e-13)
+        assert cached.quartets_served_from_cache == nq
+        assert cached.quartets_computed + cached.quartets_served_from_cache == 2 * nq
 
 
 class TestShellSlicesProperty:

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.integrals.class_batch import distinct_perms
+from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
 from repro.integrals.eri_tensor_util import dense_fock_reference
+from repro.integrals.store import ERIStore
 from repro.scf.fock import (
     build_jk,
     canonical_shell_quartets,
     fock_matrix,
     hf_electronic_energy,
-    orbit_images,
 )
+
+
+def orbit_images(quartet, block):
+    """The distinct orbit images the batched scatter applies to a quartet."""
+    for perm in distinct_perms(quartet):
+        yield tuple(quartet[i] for i in perm), np.transpose(block, perm)
 
 
 class TestOrbitImages:
@@ -116,3 +124,70 @@ class TestEnergy:
         j, k = build_jk(water_engine, d, 1e-11)
         f = fock_matrix(water_engine, h, d, 1e-11)
         assert np.allclose(f, h + 2 * j - k, atol=1e-12)
+
+
+def _reference_path_md(basis):
+    engine = MDEngine(basis)
+    engine.force_reference_path()
+    return engine
+
+
+_ENGINES = {
+    "md": MDEngine,
+    "md_reference_path": _reference_path_md,
+    "os": OSEngine,
+    "synthetic": SyntheticERIEngine,
+}
+
+
+@pytest.fixture(scope="module")
+def dense_reference(water_basis, water_matrices):
+    """Unscreened no-symmetry J/K for water/STO-3G (MD and OS agree to
+    ~1e-15, so one reference serves every real engine)."""
+    return dense_fock_reference(MDEngine(water_basis), water_matrices[3])
+
+
+class TestOneRoute:
+    """Every engine and memo tier runs the one class-plan route: J/K
+    match the dense reference build after build, and every screened
+    quartet is either computed or served exactly once per build."""
+
+    @pytest.mark.parametrize("tier", [None, "disk", 64.0, "half"])
+    @pytest.mark.parametrize("kind", sorted(_ENGINES))
+    def test_two_builds_match_reference(
+        self, water_basis, water_matrices, dense_reference, tmp_path, kind, tier
+    ):
+        d = water_matrices[3]
+        engine = _ENGINES[kind](water_basis)
+        plan = engine.class_plan(0.0)
+        cap = None
+        if tier == "disk":
+            engine.attach_store(tmp_path / "store")
+        elif tier is not None:
+            full = sum(b.nq * b.block_size * 8 for b in plan.batches)
+            cap = full // 2 if tier == "half" else int(tier * 2**20)
+            engine.attach_store(ERIStore(None, water_basis, cap))
+        if kind == "synthetic":
+            j_ref = engine.coulomb_exact(d)
+            k_ref = engine.exchange_exact(d)
+        else:
+            j_ref, k_ref = dense_reference
+        served = []
+        for _ in range(2):
+            c0 = engine.quartets_computed
+            s0 = engine.quartets_served_from_store + engine.quartets_served_from_cache
+            j, k = build_jk(engine, d, tau=0.0)
+            assert np.abs(j - j_ref).max() <= 1e-12
+            assert np.abs(k - k_ref).max() <= 1e-12
+            s1 = engine.quartets_served_from_store + engine.quartets_served_from_cache
+            served.append(s1 - s0)
+            assert (engine.quartets_computed - c0) + served[-1] == plan.nquartets
+            if cap is not None:
+                assert engine.integral_store.nbytes <= cap
+        assert served[0] == 0
+        if tier is None:
+            assert served[1] == 0
+        elif tier == "half":
+            assert 0 < served[1] < plan.nquartets
+        else:
+            assert served[1] == plan.nquartets

@@ -32,6 +32,22 @@ def rand_density(rng, n):
     return (d + d.T) / 2.0
 
 
+_KEY = np.zeros((1, 4), dtype=np.int64)  # the (0, 0, 0, 0) quartet
+
+
+def record_one(store, value):
+    """Record a one-element (0,0,0,0) block holding ``value``."""
+    store.record_batch(_KEY, np.full((1, 1, 1, 1, 1), value))
+
+
+def read_one(store):
+    """The stored (0,0,0,0) element, or None if the key is absent."""
+    offs = store.offsets_for(_KEY)
+    if offs is None or offs[0] < 0:
+        return None
+    return float(store.read_stacked(offs, 1, (1, 1, 1, 1)).ravel()[0])
+
+
 @pytest.fixture
 def sto3g_basis():
     return BasisSet.build(water(), "sto-3g")
@@ -68,19 +84,6 @@ class TestStoreLifecycle:
         assert reader.quartets_served_from_store == writer.quartets_computed
         assert np.array_equal(j1, j2)
         assert np.array_equal(k1, k2)
-
-    def test_per_quartet_dispatch_reads_store(self, tmp_path, sto3g_basis):
-        rng = np.random.default_rng(9)
-        d = rand_density(rng, sto3g_basis.nbf)
-        writer = MDEngine(sto3g_basis, store=tmp_path / "store")
-        build_jk(writer, d)
-
-        reader = MDEngine(sto3g_basis, store=tmp_path / "store")
-        block_direct = MDEngine(sto3g_basis).quartet(1, 0, 0, 0)
-        block_stored = reader.quartet(1, 0, 0, 0)
-        assert reader.quartets_served_from_store == 1
-        assert reader.quartets_computed == 0
-        assert np.array_equal(block_direct, block_stored)
 
 
 class TestInvalidation:
@@ -180,7 +183,7 @@ class TestProcessSafety:
 
     def _filled_store(self, tmp_path, basis, name="store"):
         store = ERIStore(tmp_path / name, basis).open_or_fill()
-        store.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 0.25))
+        record_one(store, 0.25)
         return store
 
     def test_crash_before_manifest_write_recovers(
@@ -208,11 +211,10 @@ class TestProcessSafety:
         assert not (tmp_path / "store" / "manifest.json").exists()
         fresh = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert fresh.filling and not fresh.ready
-        fresh.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 0.25))
+        record_one(fresh, 0.25)
         fresh.finalize(tau=1e-10)
         assert fresh.ready
-        block = fresh.get((0, 0, 0, 0))
-        assert block is not None and block.ravel()[0] == 0.25
+        assert read_one(fresh) == 0.25
 
     def test_crash_before_index_write_recovers(
         self, tmp_path, sto3g_basis, monkeypatch
@@ -246,12 +248,12 @@ class TestProcessSafety:
         loser = ERIStore(tmp_path / "store", sto3g_basis)
         # simulate "was already filling when the winner finalized"
         loser.filling = True
-        loser.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 99.0))
+        record_one(loser, 99.0)
         loser.finalize(tau=1e-10)
         assert loser.ready
         # the winner's bytes survived; the loser's 99.0 was discarded
         assert loser.manifest["created"] == created
-        assert loser.get((0, 0, 0, 0)).ravel()[0] == 0.25
+        assert read_one(loser) == 0.25
 
     def test_lock_file_created_and_reentrant(self, tmp_path, sto3g_basis):
         store = self._filled_store(tmp_path, sto3g_basis)
@@ -291,3 +293,40 @@ class TestProcessSafety:
         # the surviving store is valid for a third reader
         reader = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert reader.ready and reader.nblocks > 0
+
+
+class TestInMemoryStore:
+    """``cache_mb``: the in-memory backend, no files, bounded by bytes."""
+
+    def test_rhf_builds_after_first_compute_nothing(self):
+        rhf = RHF(water(), basis_name="6-31g", cache_mb=64)
+        result = rhf.run()
+        engine = rhf.engine
+        store = engine.integral_store
+        assert store.path is None and store.ready
+        nq = engine.class_plan(rhf.tau).nquartets
+        # one computing build, then iterations 2..N plus the final build
+        assert engine.quartets_computed == nq
+        assert engine.quartets_served_from_cache == result.iterations * nq
+        assert engine.quartets_served_from_store == 0
+
+    def test_bound_below_screened_set_matches_direct(self):
+        direct = RHF(water(), basis_name="6-31g").run()
+        rhf = RHF(water(), basis_name="6-31g", cache_mb=0.01)
+        result = rhf.run()
+        assert rhf.engine.integral_store.nbytes <= 0.01 * 2**20
+        assert rhf.engine.quartets_served_from_cache > 0
+        assert result.energy == pytest.approx(direct.energy, abs=1e-10)
+
+    def test_cache_mb_and_disk_store_are_exclusive(self, tmp_path, sto3g_basis):
+        with pytest.raises(ValueError, match="exclusive"):
+            RHF(water(), cache_mb=64, integral_store=str(tmp_path / "s"))
+        with pytest.raises(ValueError, match="exclusive"):
+            MDEngine(sto3g_basis, cache_mb=64, store=tmp_path / "s")
+        from repro.cli import main
+
+        assert main([
+            "submit", "water", "--cache-mb", "64",
+            "--store", str(tmp_path / "s"), "--queue", str(tmp_path / "q"),
+        ]) == 2
+        assert not (tmp_path / "q").exists()
